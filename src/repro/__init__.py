@@ -53,7 +53,7 @@ from .core import (
     theorem3_parameters,
 )
 from .mmu import BasePageMM, DecoupledMM, HybridMM, PhysicalHugePageMM
-from .obs import IntervalMetrics, NullProbe, Probe, Timer, TraceRecorder, timed
+from .obs import IntervalMetrics, NullProbe, Probe, Timer, TraceRecorder
 from .paging import PageCache, make_policy
 from .sim import simulate, sweep_huge_page_sizes
 from .tenancy import MultiTenantSim, Tenant
@@ -93,7 +93,6 @@ __all__ = [
     "TraceRecorder",
     "IntervalMetrics",
     "Timer",
-    "timed",
     "TLB",
     "simulate",
     "sweep_huge_page_sizes",

@@ -18,6 +18,7 @@ __all__ = [
     "ceil_log2",
     "as_rng",
     "as_int_list",
+    "unit_list",
 ]
 
 
@@ -36,6 +37,21 @@ def as_int_list(trace) -> list:
     if isinstance(trace, list) and all(type(v) is int for v in trace):
         return trace
     return [int(v) for v in trace]
+
+
+def unit_list(trace, unit: int) -> list:
+    """``[vpn // unit for vpn in trace]`` as plain Python ints.
+
+    The static vpn→translation-unit map (huge page, hybrid chunk, THP
+    region) of a whole trace; *unit* is a power of two. Integer ndarrays
+    take one vectorized shift (vpns are non-negative, so the floor
+    division is a shift) and one ``tolist()``.
+    """
+    if unit == 1:
+        return as_int_list(trace)
+    if isinstance(trace, np.ndarray) and trace.dtype.kind in "iu":
+        return (trace >> (unit.bit_length() - 1)).tolist()
+    return [vpn // unit for vpn in as_int_list(trace)]
 
 
 def check_positive_int(value: int, name: str) -> int:

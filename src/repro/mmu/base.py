@@ -8,12 +8,14 @@ physical-huge-page, decoupled (``Z``), hybrid — live in sibling modules and
 are interchangeable inside :mod:`repro.sim`.
 
 Every algorithm carries an optional :class:`~repro.obs.events.Probe`
-(``NULL_PROBE`` by default). With the null probe, :meth:`run` is the
-original tight loop — the hot path is unchanged. With a real probe
-attached, :meth:`run` switches to an instrumented loop that derives typed
-events (``access``, ``tlb_miss``, ``io``, ``eviction``, ``decoding_miss``)
-from per-access ledger deltas, so all algorithms are observable without
-touching their ``access`` implementations.
+(``NULL_PROBE`` by default). :meth:`MemoryManagementAlgorithm.run` is the
+one dispatch point: a probe that needs per-access events gets an
+instrumented loop deriving typed events (``access``, ``tlb_miss``, ``io``,
+``eviction``, ``decoding_miss``) from per-access ledger deltas, so all
+algorithms are observable without touching their ``access``
+implementations; everything else replays segment by segment through the
+array engine or the class's ``_run_batch`` hook, with one ``on_batch``
+flush per segment when a batch-safe probe is attached.
 
 **ASID access contract.** Multi-tenant simulation (:mod:`repro.tenancy`)
 shares one algorithm instance between address spaces. The contract is
@@ -39,20 +41,6 @@ from ..core import CostLedger
 from ..obs.events import NULL_PROBE, Probe
 
 __all__ = ["MemoryManagementAlgorithm", "MMInspector", "as_int_list"]
-
-#: lazily imported array-engine module; ``False`` marks "numpy missing".
-_array_engine = None
-
-
-def _load_array_engine():
-    global _array_engine
-    if _array_engine is None:
-        try:
-            from . import array_engine as mod
-        except ImportError:  # pragma: no cover - numpy-less fallback
-            mod = False
-        _array_engine = mod
-    return _array_engine
 
 
 class MMInspector:
@@ -148,26 +136,6 @@ class MMInspector:
         """Full structural self-check; raises AssertionError on breakage."""
 
 
-class _SegmentProbe(Probe):
-    """Per-segment stand-in used by ``_run_intervaled``: batch-safe, no
-    interval of its own (so the inner ``run`` takes the plain batched fast
-    path), forwarding each segment's ``on_batch`` flush to the real probe."""
-
-    __slots__ = ("target",)
-
-    enabled = True
-    batch_safe = True
-
-    def __init__(self, target: Probe) -> None:
-        self.target = target
-
-    def on_batch(self, t0: int, vpns, ledger, before) -> None:
-        self.target.on_batch(t0, vpns, ledger, before)
-
-    def on_phase(self, t: int, name: str) -> None:  # pragma: no cover - defensive
-        self.target.on_phase(t, name)
-
-
 class MemoryManagementAlgorithm(ABC):
     """Services virtual-page requests under the address-translation model."""
 
@@ -185,8 +153,8 @@ class MemoryManagementAlgorithm(ABC):
         #: simulation engine: ``"object"`` replays access by access,
         #: ``"array"`` tries the struct-of-arrays batch engine first
         #: (:mod:`repro.mmu.array_engine`) and falls back to the object
-        #: replay when no batch handler applies (unsupported algorithm,
-        #: per-access probe, non-LRU policy, pending paging failures).
+        #: replay when no batch handler applies (no handler for the exact
+        #: class, non-LRU policy, pending paging failures).
         self.engine: str = "object"
         #: observer of this algorithm's events; NULL_PROBE means unobserved.
         self.probe: Probe = NULL_PROBE
@@ -197,6 +165,14 @@ class MemoryManagementAlgorithm(ABC):
         #: base pages per ASID slice, set by :meth:`bind_asid_space`
         #: (None until an address-space layout is bound).
         self.asid_stride: int | None = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        # a batch hook replays its own class's access semantics, so a
+        # subclass that redefines access without a hook of its own gets
+        # the per-access reference loop back
+        super().__init_subclass__(**kwargs)
+        if "access" in vars(cls) and "_run_batch" not in vars(cls):
+            cls._run_batch = MemoryManagementAlgorithm._run_batch
 
     @abstractmethod
     def access(self, vpn: int) -> None:
@@ -252,7 +228,7 @@ class MemoryManagementAlgorithm(ABC):
         untouched, so a single tenant bound at ASID 0 is bit-identical to
         a plain single-address-space replay. Other ASIDs shift the trace
         into their slice (one vectorized add for numpy traces), keeping
-        every subclass fast path engaged.
+        every batch hook engaged.
         """
         base = self._asid_base(asid)
         if base == 0:
@@ -298,70 +274,54 @@ class MemoryManagementAlgorithm(ABC):
     def run(self, trace) -> CostLedger:
         """Service every request in *trace*; return this algorithm's ledger.
 
-        The trace is materialized as plain Python ints once up front
-        (:func:`as_int_list`), so ``access`` implementations may assume
-        exact ints and skip per-element ``int()`` boxing — the hot-loop
-        contract documented in ``docs/API.md``.
+        The one dispatch point. A probe that is not batch-safe gets the
+        per-access event replay (:meth:`_run_probed`). Otherwise the trace
+        is one segment — or ``batch_interval``-access segments for a live
+        probe — and each segment runs on the array engine when
+        ``engine == "array"`` and a handler accepts it, else through
+        :meth:`_run_batch`; an attached probe receives exactly one
+        ``on_batch`` flush per segment. Counters and deep state are
+        bit-identical on every path.
         """
-        if self.engine == "array":
-            engine = _load_array_engine()
-            if engine is False:
-                raise RuntimeError(
-                    "engine='array' requires numpy; it is not installed"
-                )
-            out = engine.try_run(self, trace)
-            if out is not None:
-                return out
-            # no batch handler applies — fall through to the object replay
         probe = self.probe
-        if probe.enabled:
-            if not probe.batch_safe:
-                return self._run_probed(trace)
-            if probe.batch_interval is not None:
-                return self._run_intervaled(trace, probe)
-            return self._run_batched(trace)
+        if probe.enabled and not probe.batch_safe:
+            return self._run_probed(trace)
+        observed = probe.enabled
+        interval = probe.batch_interval if observed else None
+        if interval is None:
+            segments = (trace,)
+        else:
+            segments = (trace[i : i + interval] for i in range(0, len(trace), interval))
+        if self.engine == "array":
+            # imported here: its handler table imports the algorithm
+            # classes, which import this module
+            from . import array_engine as engine
+        else:
+            engine = None
+        ledger = self.ledger
+        for segment in segments:
+            if observed:
+                t0 = ledger.accesses
+                before = ledger.snapshot()
+            if engine is None or engine.try_run(self, segment) is None:
+                self._run_batch(segment)
+            if observed:
+                probe.on_batch(t0, segment, ledger, before)
+        return ledger
+
+    def _run_batch(self, trace) -> None:
+        """Replay one segment on the object engine: the batch hook.
+
+        The base body is the per-access reference loop. The trace is
+        materialized as plain Python ints once (:func:`as_int_list`), so
+        ``access`` implementations may assume exact ints and skip
+        per-element ``int()`` boxing — the hot-loop contract documented
+        in ``docs/API.md``. Subclasses override the hook with a faster
+        body that leaves bit-identical counters and state.
+        """
         access = self.access
         for vpn in as_int_list(trace):
             access(vpn)
-        return self.ledger
-
-    def _run_batched(self, trace) -> CostLedger:
-        """The batch-observed replay: the original tight loop plus exactly
-        one ``on_batch`` flush at the end, carrying the replayed VPNs and
-        the ledger delta. Batch-safe probes (``probe.batch_safe``) accept
-        this granularity in exchange for per-access costs of zero — the
-        same contract that lets subclasses keep their vectorized fast
-        paths enabled."""
-        ledger = self.ledger
-        t0 = ledger.accesses
-        before = ledger.snapshot()
-        access = self.access
-        vpns = as_int_list(trace)
-        for vpn in vpns:
-            access(vpn)
-        self.probe.on_batch(t0, vpns, ledger, before)
-        return ledger
-
-    def _run_intervaled(self, trace, probe: Probe) -> CostLedger:
-        """Interval-flushed batch replay for live probes.
-
-        The trace is sliced into ``probe.batch_interval``-access segments
-        and each segment is replayed through ``self.run`` with the probe
-        temporarily swapped for a :class:`_SegmentProbe` forwarder (batch
-        safe, no interval), so subclasses' vectorized fast-path ``run``
-        overrides stay engaged per segment and the real probe receives one
-        ``on_batch`` flush per segment. Counters and cache state are
-        bit-identical to the unsegmented replay: segmentation only changes
-        where the Python-level loop boundaries fall.
-        """
-        interval = probe.batch_interval
-        self.probe = _SegmentProbe(probe)
-        try:
-            for start in range(0, len(trace), interval):
-                self.run(trace[start : start + interval])
-        finally:
-            self.probe = probe
-        return self.ledger
 
     def _run_probed(self, trace) -> CostLedger:
         """The observed replay: emit typed events from per-access ledger

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
-from .._util import as_int_list, check_positive_int, is_power_of_two
+from .._util import check_positive_int, is_power_of_two, unit_list
 from ..core import (
     DecoupledSystem,
     DecouplingScheme,
@@ -100,36 +98,12 @@ class HybridMM(MemoryManagementAlgorithm):
     def access(self, vpn: int) -> None:
         self.system.access(vpn // self.chunk)
 
-    def run(self, trace):
-        """Unprobed fast path: the vpn→chunk mapping is static, so the
-        chunk ids for the whole trace come from one vectorized shift.
-        Batch-safe probes keep this path and get one ``on_batch`` flush."""
-        probe = self.probe
-        if (
-            self.engine != "object"
-            or (
-                probe.enabled
-                and (not probe.batch_safe or probe.batch_interval is not None)
-            )
-            or (type(self).access is not HybridMM.access)
-        ):
-            return super().run(trace)
-        t0 = self.ledger.accesses
-        before = self.ledger.snapshot() if probe.enabled else None
-        chunk = self.chunk
-        if chunk == 1:
-            chunk_ids = as_int_list(trace)
-        elif isinstance(trace, np.ndarray) and trace.dtype.kind in "iu":
-            # vpns are non-negative, so the floor division is one shift
-            chunk_ids = (trace >> (chunk.bit_length() - 1)).tolist()
-        else:
-            chunk_ids = [vpn // chunk for vpn in as_int_list(trace)]
+    def _run_batch(self, trace) -> None:
+        """The vpn→chunk mapping is static, so the chunk ids for the whole
+        segment come from one vectorized shift."""
         access = self.system.access
-        for cid in chunk_ids:
+        for cid in unit_list(trace, self.chunk):
             access(cid)
-        if probe.enabled:
-            probe.on_batch(t0, trace, self.ledger, before)
-        return self.ledger
 
     def translation_alignment(self) -> int:
         return self.coverage

@@ -23,9 +23,7 @@ page); evicting a huge unit drops all ``h`` pages at once.
 
 from __future__ import annotations
 
-import numpy as np
-
-from .._util import as_int_list, check_positive_int, is_power_of_two
+from .._util import as_int_list, check_positive_int, is_power_of_two, unit_list
 from ..obs.attribution import REASON_PROMOTION as _REASON_PROMOTION
 from ..paging import LRUPolicy, PageCache
 from ..sim.memory import OutOfMemoryError, PhysicalMemory
@@ -141,34 +139,13 @@ class THPStyleMM(MemoryManagementAlgorithm):
     def access(self, vpn: int) -> None:
         self._access(vpn, vpn // self.h)
 
-    def run(self, trace):
-        """Unprobed fast path: the vpn→region mapping is static (promotion
-        changes which *unit* a region maps to, not the region number), so
-        the regions for the whole trace come from one vectorized shift.
-        Batch-safe probes keep this path and get one ``on_batch`` flush."""
-        probe = self.probe
-        if (
-            probe.enabled
-            and (not probe.batch_safe or probe.batch_interval is not None)
-        ) or (type(self).access is not THPStyleMM.access):
-            return super().run(trace)
-        t0 = self.ledger.accesses
-        before = self.ledger.snapshot() if probe.enabled else None
-        vpns = as_int_list(trace)
-        h = self.h
-        if h == 1:
-            regions = vpns
-        elif isinstance(trace, np.ndarray) and trace.dtype.kind in "iu":
-            # vpns are non-negative, so the floor division is one shift
-            regions = (trace >> (h.bit_length() - 1)).tolist()
-        else:
-            regions = [vpn // h for vpn in vpns]
+    def _run_batch(self, trace) -> None:
+        """The vpn→region mapping is static (promotion changes which *unit*
+        a region maps to, not the region number), so the regions for the
+        whole segment come from one vectorized shift."""
         access = self._access
-        for vpn, region in zip(vpns, regions):
+        for vpn, region in zip(as_int_list(trace), unit_list(trace, self.h)):
             access(vpn, region)
-        if probe.enabled:
-            probe.on_batch(t0, vpns, self.ledger, before)
-        return self.ledger
 
     def _access(self, vpn: int, region: int) -> None:
         ledger = self.ledger

@@ -30,8 +30,8 @@ Orthogonal pieces, all optional and all zero-overhead when unused:
   :func:`render_top`);
 * :mod:`repro.obs.report` — render snapshots / bench payloads / metrics
   JSONL into a terminal summary and self-contained HTML (``repro report``);
-* :mod:`repro.obs.profile` — ``perf_counter`` timers, the ``@timed``
-  decorator, and throughput helpers.
+* :mod:`repro.obs.profile` — a ``perf_counter`` timer and a throughput
+  helper.
 
 Attach via ``simulate(mm, trace, probe=..., metrics=...)``,
 ``run_tasks(..., snapshot=...)``, or the CLI's ``repro trace`` /
@@ -69,14 +69,7 @@ from .live import (
 )
 from .metrics import METRICS_FIELDS, IntervalMetrics
 from .online import OnlineStackDistance, OnlineWorkingSet
-from .profile import (
-    PROFILE,
-    ProfileRegistry,
-    Timer,
-    TimerStats,
-    accesses_per_second,
-    timed,
-)
+from .profile import Timer, accesses_per_second
 from .report import build_report, load_artifact, render_html, render_text
 from .sampling import SamplingProbe
 from .snapshot import ObsSnapshot
@@ -116,9 +109,5 @@ __all__ = [
     "render_text",
     "render_html",
     "Timer",
-    "TimerStats",
-    "ProfileRegistry",
-    "PROFILE",
-    "timed",
     "accesses_per_second",
 ]

@@ -4,8 +4,7 @@ A :class:`Probe` observes a simulation as it unfolds — one callback per
 typed event — without perturbing it: the cost model charges nothing for
 observation, and the hot path is untouched when no probe is attached
 (:class:`~repro.mmu.base.MemoryManagementAlgorithm.run` checks
-``probe.enabled`` once per replay and falls back to the original tight
-loop).
+``probe.enabled`` once per replay and runs the unobserved batch path).
 
 Event kinds mirror the chargeable (and near-chargeable) events of the
 cost model:
@@ -93,21 +92,20 @@ class Probe:
 
     ``batch_safe`` declares the probe's granularity contract: a batch-safe
     probe only needs :meth:`on_batch` — one callback per ``run()`` with the
-    replayed VPNs and the ledger delta — and therefore keeps the batched /
-    vectorized fast paths in ``mmu/hugepage|decoupled|hybrid|thp`` (and the
-    base tight loop) enabled. Probes that need per-access event ordering
-    (``TraceRecorder``, ``StreamTap``, ``IntervalMetrics``) leave it False
-    and force the original per-access path.
+    replayed VPNs and the ledger delta — and therefore keeps the array
+    engine and the ``_run_batch`` hooks in ``mmu/hugepage|decoupled|hybrid|thp``
+    enabled. Probes that need per-access event ordering (``TraceRecorder``,
+    ``StreamTap``, ``IntervalMetrics``) leave it False and force the
+    per-access event replay.
 
     ``batch_interval`` refines the batch contract for *live* observers: a
     batch-safe probe that sets it to ``N`` asks ``run()`` to flush
     :meth:`on_batch` at least every ``N`` accesses instead of once per
-    replay. The runner then slices the trace into ``N``-access segments and
-    replays each through the *same* vectorized fast path (see
-    ``MemoryManagementAlgorithm._run_intervaled``), so interval flushing
-    costs one extra Python-level loop per segment, not per access —
-    heartbeat telemetry (:mod:`repro.obs.live`) rides this. ``None`` (the
-    default) keeps the one-flush-per-run behaviour.
+    replay. ``MemoryManagementAlgorithm.run`` then slices the trace into
+    ``N``-access segments and replays each through the *same* batch path,
+    so interval flushing costs one extra Python-level loop per segment,
+    not per access — heartbeat telemetry (:mod:`repro.obs.live`) rides
+    this. ``None`` (the default) keeps the one-flush-per-run behaviour.
     """
 
     __slots__ = ()
@@ -142,8 +140,10 @@ class Probe:
     def on_batch(self, t0: int, vpns, ledger, before) -> None:
         """A batched replay serviced *vpns* starting at access index *t0*.
 
-        Fires once per ``run()`` on batch-safe probes, after the batch
-        completes. *ledger* is the live :class:`~repro.core.model.CostLedger`
+        Fires on batch-safe probes after each batch completes: once per
+        ``run()`` (an empty trace included), or once per
+        ``batch_interval``-access segment when the probe sets one.
+        *ledger* is the live :class:`~repro.core.model.CostLedger`
         (post-batch) and *before* its :meth:`snapshot` tuple from just
         before the batch, so the batch's exact counter deltas are
         ``tuple(b - a for a, b in zip(before, ledger.snapshot()))``.

@@ -1,4 +1,4 @@
-"""Wall-clock run profiling: timers, a ``@timed`` decorator, and throughput.
+"""Wall-clock run profiling: a reusable timer and throughput.
 
 ``time.perf_counter`` based, so results are monotonic and sub-microsecond;
 nothing here touches the simulated cost model — this measures the
@@ -8,18 +8,9 @@ the number the ROADMAP's hot-path work optimizes.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
 from time import perf_counter
 
-__all__ = [
-    "Timer",
-    "TimerStats",
-    "ProfileRegistry",
-    "PROFILE",
-    "timed",
-    "accesses_per_second",
-]
+__all__ = ["Timer", "accesses_per_second"]
 
 
 class Timer:
@@ -43,90 +34,6 @@ class Timer:
     def __exit__(self, *exc) -> None:
         self.elapsed += perf_counter() - self._t0
         self._t0 = None
-
-
-@dataclass(slots=True)
-class TimerStats:
-    """Accumulated timings of one named code path."""
-
-    name: str
-    calls: int = 0
-    total_s: float = 0.0
-    min_s: float = field(default=float("inf"))
-    max_s: float = 0.0
-
-    def record(self, seconds: float) -> None:
-        self.calls += 1
-        self.total_s += seconds
-        self.min_s = min(self.min_s, seconds)
-        self.max_s = max(self.max_s, seconds)
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.calls if self.calls else 0.0
-
-    def as_row(self) -> dict:
-        return {
-            "name": self.name,
-            "calls": self.calls,
-            "total_s": self.total_s,
-            "mean_s": self.mean_s,
-            "min_s": self.min_s if self.calls else 0.0,
-            "max_s": self.max_s,
-        }
-
-
-class ProfileRegistry:
-    """Named :class:`TimerStats`, shared by every ``@timed`` call site."""
-
-    __slots__ = ("stats",)
-
-    def __init__(self) -> None:
-        self.stats: dict[str, TimerStats] = {}
-
-    def record(self, name: str, seconds: float) -> None:
-        stats = self.stats.get(name)
-        if stats is None:
-            stats = self.stats[name] = TimerStats(name)
-        stats.record(seconds)
-
-    def rows(self) -> list[dict]:
-        """Flat rows sorted by total time, hottest first."""
-        return [
-            s.as_row()
-            for s in sorted(self.stats.values(), key=lambda s: -s.total_s)
-        ]
-
-    def reset(self) -> None:
-        self.stats.clear()
-
-
-#: Process-wide default registry (``repro.obs.PROFILE.rows()`` to inspect).
-PROFILE = ProfileRegistry()
-
-
-def timed(fn=None, *, name: str | None = None, registry: ProfileRegistry = PROFILE):
-    """Decorator recording each call's wall time under *name* (default:
-    the function's qualified name) in *registry*.
-
-    Usable bare (``@timed``) or configured (``@timed(name="sweep")``).
-    """
-
-    def deco(func):
-        label = name or func.__qualname__
-
-        @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            t0 = perf_counter()
-            try:
-                return func(*args, **kwargs)
-            finally:
-                registry.record(label, perf_counter() - t0)
-
-        wrapper.profile_name = label
-        return wrapper
-
-    return deco if fn is None else deco(fn)
 
 
 def accesses_per_second(accesses: int, seconds: float) -> float:

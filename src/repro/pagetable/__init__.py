@@ -1,15 +1,11 @@
-"""Page-table substrate: sparse radix tree, inverted (hashed) table,
-walker, and walk-cost models."""
+"""Page-table substrate: sparse radix tree, walker, and walk-cost models."""
 
-from .inverted import InvertedPageTable, InvertedTranslation
 from .radix import RadixPageTable, Translation
 from .walk import PageWalker, WalkResult, nested_walk_cost
 
 __all__ = [
     "RadixPageTable",
     "Translation",
-    "InvertedPageTable",
-    "InvertedTranslation",
     "PageWalker",
     "WalkResult",
     "nested_walk_cost",

@@ -3,9 +3,6 @@ coalescing models."""
 
 from .asid import AsidTaggedTLB, FlushingTLB
 from .coalescing import CoalescingTLB
-from .entry import TLBEntry, coverage_range, huge_page_of
-from .hierarchy import TwoLevelTLB
-from .prefetch import PrefetchingTLB
 from .multi import CASCADE_LAKE_L2, MultiSizeTLB
 from .tlb import TLB, SetAssociativeTLB
 
@@ -17,9 +14,4 @@ __all__ = [
     "CoalescingTLB",
     "AsidTaggedTLB",
     "FlushingTLB",
-    "TwoLevelTLB",
-    "PrefetchingTLB",
-    "TLBEntry",
-    "huge_page_of",
-    "coverage_range",
 ]

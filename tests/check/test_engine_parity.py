@@ -10,10 +10,9 @@ it can face).
 
 The multi-tenant goldens (``tests/tenancy/goldens.py``) extend the same
 pinning to ASID-striped runs: the object engine must reproduce the
-committed stream row for row, and the array engine — which may decline
-multi-tenant segments and silently fall back to the object replay — must
-land on exactly the golden totals, proving the fallback is silent *and*
-correct.
+committed stream row for row, and the array engine — which accepts every
+per-quantum segment of these schedules rather than declining them — must
+land on exactly the golden totals.
 """
 
 import pytest

@@ -295,7 +295,7 @@ class TestHeartbeatProbe:
             raise AssertionError("heartbeat forced the per-access replay")
 
         monkeypatch.setattr(MemoryManagementAlgorithm, "_run_probed", boom)
-        monkeypatch.setattr(MemoryManagementAlgorithm, "_run_batched", boom)
+        monkeypatch.setattr(MemoryManagementAlgorithm, "_run_batch", boom)
         self._run(tmp_path, interval=300)
 
     def test_on_phase_records(self, tmp_path):

@@ -1,8 +1,6 @@
 """Tests for wall-clock profiling helpers."""
 
-import pytest
-
-from repro.obs import PROFILE, ProfileRegistry, Timer, TimerStats, accesses_per_second, timed
+from repro.obs import Timer, accesses_per_second
 
 
 class TestTimer:
@@ -21,52 +19,6 @@ class TestTimer:
         assert t.elapsed > first
 
 
-class TestTimed:
-    def test_records_into_registry(self):
-        reg = ProfileRegistry()
-
-        @timed(name="work", registry=reg)
-        def work(x):
-            return x * 2
-
-        assert work(21) == 42
-        assert work(1) == 2
-        stats = reg.stats["work"]
-        assert stats.calls == 2
-        assert stats.total_s >= stats.max_s >= stats.min_s > 0
-        assert stats.mean_s == pytest.approx(stats.total_s / 2)
-
-    def test_bare_decorator_uses_default_registry(self):
-        @timed
-        def _probe_me():
-            return 1
-
-        before = len(PROFILE.stats)
-        _probe_me()
-        assert _probe_me.profile_name in PROFILE.stats
-        assert len(PROFILE.stats) >= before
-        del PROFILE.stats[_probe_me.profile_name]
-
-    def test_records_even_when_raising(self):
-        reg = ProfileRegistry()
-
-        @timed(name="boom", registry=reg)
-        def boom():
-            raise RuntimeError
-
-        with pytest.raises(RuntimeError):
-            boom()
-        assert reg.stats["boom"].calls == 1
-
-    def test_rows_sorted_hottest_first(self):
-        reg = ProfileRegistry()
-        reg.record("slow", 2.0)
-        reg.record("fast", 0.5)
-        assert [r["name"] for r in reg.rows()] == ["slow", "fast"]
-        reg.reset()
-        assert reg.rows() == []
-
-
 class TestThroughput:
     def test_basic(self):
         assert accesses_per_second(1000, 0.5) == 2000.0
@@ -74,6 +26,3 @@ class TestThroughput:
     def test_zero_guards(self):
         assert accesses_per_second(0, 1.0) == 0.0
         assert accesses_per_second(1000, 0.0) == 0.0
-
-    def test_empty_stats_row(self):
-        assert TimerStats("x").as_row()["min_s"] == 0.0
