@@ -21,6 +21,13 @@ slower. Each component is timed on its own fixed key stream:
   kernel's paging-failure bailout path; the gate additionally requires
   these rows to report ``paging_failures > 0`` (the cell must keep
   failing, or the rows silently stop testing the bailout);
+* ``mm:<name>@q<quantum>`` / ``mm@object:<name>@q<quantum>`` — the same
+  engine pair for every algorithm the array engine handles, in short
+  segments: the machine warms up on the first half of the preset trace
+  in one ``run()``, then the second half is timed in ``quantum``-access
+  ``run()`` calls (one multi-tenant turn each), so every array-engine
+  call starts from a warm cache. The engine-identity gate pairs these
+  rows by name like the ``+fail`` rows;
 * ``mm+sampled:<name>`` — ``run()`` with a batch-safe
   :class:`~repro.obs.sampling.SamplingProbe` attached, for every fast-path
   algorithm. The probe must not perturb the simulation (identical
@@ -100,6 +107,7 @@ HOTLOOP_CONFIG: dict = {
     "fail_accesses": 4_000,  # trace length per mm failure row
     "fail_hot_percent": 50,  # hot share of the failure key streams
     "fail_mm_seed": 2,  # mm seed for the failure rows (streams use "seed")
+    "quantum": 64,  # run() length of the mm@q<quantum> rows' timed half
     "repeats": 5,  # best-of timing repeats per component
     "seed": 0,
 }
@@ -316,16 +324,33 @@ def _bench_mm_probed(name: str, trace, cfg) -> list[dict]:
     ]
 
 
-def _bench_mm_fail(name: str, cfg) -> list[dict]:
-    """Time one paging-failure cell on both engines, interleaved.
+def _engine_pair(component: str, ops: int, cfg, build, replay) -> list[dict]:
+    """Time ``replay(build(engine))`` on the configured engine (the
+    ``mm:`` row) and on the object engine (the ``mm@object:`` twin),
+    interleaved, best of ``repeats``; ``build`` is untimed.  The
+    check_bench engine gate holds the twins' counters bit-identical."""
+    variants = (("mm", cfg["mm_engine"]), ("mm@object", "object"))
+    best = {prefix: math.inf for prefix, _ in variants}
+    counters: dict = {prefix: {} for prefix, _ in variants}
+    for _ in range(max(1, cfg["repeats"])):
+        for prefix, engine in variants:
+            mm = build(engine)
+            with Timer() as t:
+                replay(mm)
+            best[prefix] = min(best[prefix], t.elapsed)
+            counters[prefix] = _ledger_counters(mm.ledger)
+    return [
+        _row(f"{prefix}:{component}", ops, best[prefix], counters[prefix])
+        for prefix, _ in variants
+    ]
 
-    Same twin discipline as :func:`_bench_mm_probed`: the ``mm:`` row runs
-    the configured engine, the ``mm@object:`` row re-runs the identical
-    stream on the object engine, and the check_bench engine gate holds
-    their counters — here including ``paging_failures`` — bit-identical.
-    The cell geometry comes from :data:`FAILURE_MMS`; the mm seed is
-    pinned separately (``fail_mm_seed``) because the failure pattern is a
-    property of allocator hashing, not of the key stream.
+
+def _bench_mm_fail(name: str, cfg) -> list[dict]:
+    """Time one paging-failure cell on both engines (:func:`_engine_pair`),
+    whose counters here include ``paging_failures``. The cell geometry
+    comes from :data:`FAILURE_MMS`; the mm seed is pinned separately
+    (``fail_mm_seed``) because the failure pattern is a property of
+    allocator hashing, not of the key stream.
     """
     geom = FAILURE_MMS[name]
     trace = np.asarray(
@@ -338,26 +363,49 @@ def _bench_mm_fail(name: str, cfg) -> list[dict]:
         ),
         dtype=np.int64,
     )
-    variants = (("mm", cfg["mm_engine"]), ("mm@object", "object"))
-    best = {prefix: math.inf for prefix, _ in variants}
-    counters: dict = {prefix: {} for prefix, _ in variants}
-    for _ in range(max(1, cfg["repeats"])):
-        for prefix, engine in variants:
-            mm = make_mm(
-                name,
-                geom["tlb_entries"],
-                geom["ram_pages"],
-                seed=cfg["fail_mm_seed"],
-                engine=engine,
-            )
-            with Timer() as t:
-                ledger = mm.run(trace)
-            best[prefix] = min(best[prefix], t.elapsed)
-            counters[prefix] = _ledger_counters(ledger)
-    return [
-        _row(f"{prefix}:{name}+fail", len(trace), best[prefix], counters[prefix])
-        for prefix, _ in variants
-    ]
+
+    def build(engine):
+        return make_mm(
+            name,
+            geom["tlb_entries"],
+            geom["ram_pages"],
+            seed=cfg["fail_mm_seed"],
+            engine=engine,
+        )
+
+    return _engine_pair(
+        f"{name}+fail", len(trace), cfg, build, lambda mm: mm.run(trace)
+    )
+
+
+def _bench_mm_quantum(name: str, trace, cfg) -> list[dict]:
+    """Time one algorithm in short segments on both engines
+    (:func:`_engine_pair`).
+
+    Warm-up (untimed, then ``reset_stats``): the first half of *trace* in
+    one ``run()``.  Timed: the second half in ``cfg["quantum"]``-access
+    ``run()`` calls, so the rows measure the per-call cost a warm
+    machine pays, the shape of a multi-tenant turn.
+    """
+    q = cfg["quantum"]
+    half = len(trace) // 2
+    segments = [trace[i : i + q] for i in range(half, len(trace), q)]
+
+    def build(engine):
+        mm = make_mm(
+            name, cfg["mm_tlb_entries"], cfg["mm_ram_pages"],
+            seed=cfg["seed"], engine=engine,
+        )
+        mm.run(trace[:half])
+        mm.reset_stats()
+        return mm
+
+    def replay(mm):
+        run = mm.run
+        for segment in segments:
+            run(segment)
+
+    return _engine_pair(f"{name}@q{q}", len(trace) - half, cfg, build, replay)
 
 
 def bench_hotloop(*, seed: int | None = None) -> tuple[list[dict], dict]:
@@ -367,6 +415,9 @@ def bench_hotloop(*, seed: int | None = None) -> tuple[list[dict], dict]:
     incomparable to baselines recorded with the preset, which the gate's
     config check catches.
     """
+    # imported here so that `import repro.bench` leaves the engine unloaded
+    from ..mmu.array_engine import supports
+
     cfg = dict(HOTLOOP_CONFIG)
     if seed is not None:
         cfg["seed"] = seed
@@ -395,6 +446,10 @@ def bench_hotloop(*, seed: int | None = None) -> tuple[list[dict], dict]:
                 rows.append(_bench_mm(name, trace, cfg))
         for name in sorted(FAILURE_MMS):
             rows.extend(_bench_mm_fail(name, cfg))
+        for name in MM_NAMES:
+            mm = make_mm(name, cfg["mm_tlb_entries"], cfg["mm_ram_pages"])
+            if supports(mm):
+                rows.extend(_bench_mm_quantum(name, trace, cfg))
         rows.extend(probed_rows)
 
     # geometric mean: a 2x regression in one component moves the aggregate

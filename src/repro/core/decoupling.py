@@ -115,7 +115,8 @@ class DecouplingScheme:
 
         ``on_value_update`` callbacks are suppressed for the whole batch:
         callers owning a TLB must refresh resident values themselves (the
-        array engine rebuilds them wholesale during state sync).
+        array engine re-reads ψ for the resident huge pages of the
+        batch's pages during state sync).
 
         Returns the index of the first failing insert — that insert is
         applied (the page joins ``F``) and everything after it is not —

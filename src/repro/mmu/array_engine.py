@@ -36,6 +36,11 @@ and death positions sorted ascending are exactly the eviction sequence —
 so schemes with eviction side effects (write-back flushes, decoupled
 allocator frees) replay only their rare events through the object code.
 
+A call costs O(segment + evictions), not O(resident set): a warm cache
+enters a kernel as a window of its LRU order (:func:`_warm_window`), and
+the object state leaves it through one incremental step
+(:meth:`StreamKernel.order_delta`), exact after every call.
+
 Handlers cover BasePageMM / PhysicalHugePageMM (pure counter folds),
 WritebackHugePageMM (vectorized store sampling + dirty-at-eviction
 replay), NestedTranslationMM (the 2-D walk becomes a derived LRU stream
@@ -51,6 +56,7 @@ is inherently sequential.
 from __future__ import annotations
 
 import bisect
+from itertools import islice
 
 import numpy as np
 
@@ -86,7 +92,10 @@ class StreamKernel:
     prefix:
         Keys resident before the segment, oldest first (the LRU order of
         a warm cache).  They are modeled as pseudo-accesses before the
-        stream and excluded from the counters.
+        stream and excluded from the counters.  The prefix may be a
+        window of the cache (see :func:`_warm_window`): the caller then
+        passes capacity ``C - |U|`` to every query, ``U`` being the
+        residents left out.
     """
 
     def __init__(self, keys, prefix=()) -> None:
@@ -336,22 +345,12 @@ class StreamKernel:
         self._hit[C] = hit
         return hit
 
-    def counts(self, C: int) -> tuple[int, int]:
-        """``(hits, misses)`` over the real (non-prefix) accesses."""
-        hits = int(np.count_nonzero(self.hit_mask(C)[self.R :]))
-        return hits, self.n0 - hits
-
-    def evictions(self, C: int) -> int:
-        """Total demand evictions: inserts past capacity."""
-        _, misses = self.counts(C)
-        return max(0, self.R + misses - C)
-
-    def final_residents(self, C: int) -> np.ndarray:
-        """Resident keys at segment end, oldest first (LRU order)."""
-        alive = np.flatnonzero(self.nxt == self.n)
-        if alive.size > C:
-            alive = alive[-C:]
-        return self.keys[alive]
+    def counts(self, C: int, T: int | None = None) -> tuple[int, int]:
+        """``(hits, misses)`` over the real accesses before global position
+        ``T`` (default: all of them)."""
+        T = self.n if T is None else T
+        hits = int(np.count_nonzero(self.hit_mask(C)[self.R : T]))
+        return hits, T - self.R - hits
 
     def deaths(self, C: int) -> np.ndarray:
         """Positions whose residency ends in an eviction, ascending.
@@ -376,12 +375,34 @@ class StreamKernel:
         """Global positions (prefix coordinates included) of real misses."""
         return np.flatnonzero(~self.hit_mask(C)[self.R :]) + self.R
 
+    def _last_touches(self, C: int, T: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each key's last touch before global position ``T``, split into
+        ``(departed, resident)`` positions, both ascending: LRU keeps the
+        newest ``C``."""
+        last = np.flatnonzero(self.nxt[:T] >= T)
+        cut = max(0, last.size - C)
+        return last[:cut], last[cut:]
+
     def residents_at(self, C: int, T: int) -> np.ndarray:
         """Resident keys just before global position ``T``, oldest first."""
-        alive = np.flatnonzero((self._pos < T) & (self.nxt >= T))
-        if alive.size > C:
-            alive = alive[-C:]
-        return self.keys[alive]
+        return self.keys[self._last_touches(C, T)[1]]
+
+    def order_delta(self, C: int, T: int | None = None):
+        """What the accesses before global position ``T`` (default: the
+        segment end) do to the warm LRU order, as two key arrays:
+        ``departed``, every key seen before ``T`` but not resident there,
+        and ``moved``, every key last touched in ``[R, T)`` and resident
+        at ``T``, oldest first.
+
+        Deleting the departed keys from the order and then moving each
+        moved key to its MRU end yields the order just before ``T``;
+        residents that were never in the prefix stay in place.  Both
+        arrays are bounded by the kernel's distinct keys, not by the
+        cache's resident count or its evictions.
+        """
+        departed, resident = self._last_touches(C, self.n if T is None else T)
+        moved = resident[np.searchsorted(resident, self.R) :]
+        return self.keys[departed], self.keys[moved]
 
 
 # ---------------------------------------------------------------------------
@@ -393,21 +414,63 @@ def _plain_lru(cache) -> bool:
     return type(cache.policy) is LRUPolicy
 
 
-def _lru_prefix(cache) -> list:
-    """Current residents oldest-first — the kernel's warm-start prefix."""
-    return list(cache.policy._order)
+def _warm_window(order, keys: np.ndarray, C: int) -> tuple[list, int]:
+    """The warm-start prefix for a kernel over *keys* from LRU *order*
+    (capacity *C*), and the capacity to query that kernel at.
+
+    The prefix is a window: the oldest ``2n`` residents for an
+    ``n``-access segment, then the residents the segment touches beyond
+    them.  The rest, ``U``, are untouched residents with at least ``2n``
+    older ones; a segment evicts at most ``n`` keys, each the oldest
+    resident not yet touched, so ``U`` is never evicted and the kernel
+    runs at capacity ``C - |U|``.  Every stack window that starts in the
+    oldest ``2n`` spans all of ``U``, so its distance drops by exactly
+    ``|U|``; one that starts at a touched resident beyond them holds
+    fewer than ``2n <= C - |U|`` distinct keys, a hit either way (which
+    is why their order in the prefix does not matter).  Hits, victims and
+    victim order come out unchanged.
+    """
+    window = 2 * len(keys)
+    if len(order) <= window:
+        return list(order), C
+    prefix = list(islice(order, window))
+    oldest = set(prefix)
+    prefix += [
+        k for k in dict.fromkeys(keys.tolist()) if k in order and k not in oldest
+    ]
+    return prefix, C - (len(order) - len(prefix))
 
 
-def _sync_cache(cache: PageCache, kernel: StreamKernel, C: int) -> None:
-    """Move a PageCache + LRUPolicy to the kernel's end-of-segment state."""
-    hits, misses = kernel.counts(C)
+def _apply_delta(order, departed: list, moved: list) -> None:
+    """Bring an LRU order forward by a kernel's :meth:`~StreamKernel.order_delta`."""
+    pop = order.pop
+    for key in departed:
+        pop(key, None)
+    move = order.move_to_end
+    for key in moved:
+        if key in order:
+            move(key)
+        else:
+            order[key] = None
+
+
+def _sync_cache(
+    cache: PageCache,
+    kernel: StreamKernel,
+    C: int,
+    done: int | None = None,
+    decode=np.ndarray.tolist,
+) -> None:
+    """Move a PageCache + LRUPolicy through the first *done* accesses of
+    the kernel's segment (default: all of them).  *decode* maps a key
+    array back to the cache's keys."""
+    T = kernel.n if done is None else kernel.R + done
+    hits, misses = kernel.counts(C, T)
     cache.hits += hits
     cache.misses += misses
-    cache.evictions += kernel.evictions(C)
-    cache._clock += kernel.n0
-    order = cache.policy._order
-    order.clear()
-    order.update(dict.fromkeys(kernel.final_residents(C).tolist()))
+    cache.evictions += max(0, kernel.R + misses - C)
+    cache._clock += hits + misses
+    _apply_delta(cache.policy._order, *map(decode, kernel.order_delta(C, T)))
 
 
 # ---------------------------------------------------------------------------
@@ -438,33 +501,33 @@ def _replay_ghost(ghost, kernel: StreamKernel, C: int) -> None:
     )
 
 
-def _paged_fold(mm, trace: np.ndarray) -> tuple[StreamKernel, StreamKernel]:
+def _paged_fold(mm, trace: np.ndarray) -> tuple[StreamKernel, int, StreamKernel, int]:
     """Shared TLB+RAM fold for the physical-huge-page family (and the
     nested MM's guest side): folds both caches' counters into the ledger,
     syncs their object state and replays any attribution ghosts. Returns
-    ``(tlb_kernel, ram_kernel)`` so handlers can reuse their miss and
-    death sequences."""
+    ``(tlb_kernel, tlb_capacity, ram_kernel, ram_capacity)`` — each
+    kernel with the capacity it runs at — so handlers can reuse their
+    miss and death sequences."""
     h = mm.translation_alignment()
     hpns = _unit_stream(trace, h)
-    tp = _lru_prefix(mm.tlb)
-    rp = _lru_prefix(mm.ram)
+    tp, tC = _warm_window(mm.tlb.policy._order, hpns, mm.tlb.capacity)
+    rp, rC = _warm_window(mm.ram.policy._order, hpns, mm.ram.capacity)
     kern_t = StreamKernel(hpns, tp)
     # bench configs give TLB and RAM equal capacity: one kernel, one pass
-    same = mm.tlb.capacity == mm.ram.capacity and tp == rp
-    kern_r = kern_t if same else StreamKernel(hpns, rp)
+    kern_r = kern_t if tC == rC and tp == rp else StreamKernel(hpns, rp)
     ledger = mm.ledger
     ledger.accesses += len(trace)
-    t_hits, t_misses = kern_t.counts(mm.tlb.capacity)
+    t_hits, t_misses = kern_t.counts(tC)
     ledger.tlb_hits += t_hits
     ledger.tlb_misses += t_misses
-    ledger.ios += h * kern_r.counts(mm.ram.capacity)[1]
-    _sync_cache(mm.tlb, kern_t, mm.tlb.capacity)
-    _sync_cache(mm.ram, kern_r, mm.ram.capacity)
+    ledger.ios += h * kern_r.counts(rC)[1]
+    _sync_cache(mm.tlb, kern_t, tC)
+    _sync_cache(mm.ram, kern_r, rC)
     if mm.tlb._ghost is not None:
-        _replay_ghost(mm.tlb._ghost, kern_t, mm.tlb.capacity)
+        _replay_ghost(mm.tlb._ghost, kern_t, tC)
     if mm.ram._ghost is not None:
-        _replay_ghost(mm.ram._ghost, kern_r, mm.ram.capacity)
-    return kern_t, kern_r
+        _replay_ghost(mm.ram._ghost, kern_r, rC)
+    return kern_t, tC, kern_r, rC
 
 
 def _run_hugepage(mm, trace: np.ndarray):
@@ -502,8 +565,7 @@ def _run_writeback(mm, trace: np.ndarray):
     """
     if not (_plain_lru(mm.tlb) and _plain_lru(mm.ram)):
         return None
-    _kern_t, kern = _paged_fold(mm, trace)
-    C = mm.ram.capacity
+    _kern_t, _tC, kern, C = _paged_fold(mm, trace)
     h = mm.huge_page_size
     wf = mm.write_fraction
     marks = np.zeros(kern.n, dtype=bool)
@@ -511,9 +573,10 @@ def _run_writeback(mm, trace: np.ndarray):
         marks[kern.R :] = mm._rng.random(len(trace)) < wf
     # pages dirty at segment entry stay dirty until their next eviction:
     # mark their prefix pseudo-access as a store
-    if mm._dirty:
+    dirty_set = mm._dirty
+    if dirty_set:
         for idx, key in enumerate(kern.keys[: kern.R].tolist()):
-            if key in mm._dirty:
+            if key in dirty_set:
                 marks[idx] = True
     deaths = kern.deaths(C)
     ledger = mm.ledger
@@ -532,35 +595,35 @@ def _run_writeback(mm, trace: np.ndarray):
         nwb = int(np.count_nonzero(dirty))
         ledger.extra["writebacks"] += nwb
         ledger.extra["writeback_ios"] += nwb * h
-    # final dirty set: residents with a store since their last eviction
-    mm._dirty.clear()
+    # final dirty set: the kernel's residents with a store since their
+    # last eviction.  Without any store no kernel key is dirty before or
+    # after, and residents outside the window keep their bits either way.
     if sk is not None:
-        alive = np.flatnonzero(kern.nxt == kern.n)
-        if alive.size > C:
-            alive = alive[-C:]
+        dirty_set.difference_update(kern.keys.tolist())
         last_death: dict[int, int] = {}
         for d in deaths.tolist():
             last_death[int(kern.keys[d])] = d
-        for a in alive.tolist():
+        for a in kern._last_touches(C, kern.n)[1].tolist():
             key = int(kern.keys[a])
             base = last_death.get(key)
             if sk[a] - (sk[base] if base is not None else 0) > 0:
-                mm._dirty.add(key)
+                dirty_set.add(key)
     return ledger
 
 
 def _run_nested(mm, trace: np.ndarray):
     """Nested translation: guest TLB and RAM are LRU caches on the hpn
     stream; the 2-D walk becomes a derived LRU stream over page-table
-    node keys ``(depth, prefix)``, encoded as ``prefix*(g+1) + depth``."""
+    node keys ``(depth, prefix)``, encoded as ``prefix*(g+1) + depth``.
+    The walk kernel starts from the whole ℓ-entry host TLB."""
     if not (_plain_lru(mm.tlb) and _plain_lru(mm.ram) and _plain_lru(mm.nested_tlb)):
         return None
-    kern_t, _kern_r = _paged_fold(mm, trace)
+    kern_t, tC, _kern_r, _rC = _paged_fold(mm, trace)
     ledger = mm.ledger
     # one walk per guest-TLB miss, in stream order: guest levels 1..g
     # touch (d, vpn >> (top - d*bits)), then the data page is (0, vpn)
     g = mm.guest_levels
-    miss_idx = kern_t.miss_positions(mm.tlb.capacity) - kern_t.R
+    miss_idx = kern_t.miss_positions(tC) - kern_t.R
     if miss_idx.size:
         vm = trace[miss_idx]
         bits = mm.bits_per_level
@@ -568,25 +631,17 @@ def _run_nested(mm, trace: np.ndarray):
         cols = [(vm >> max(top - d * bits, 0)) * (g + 1) + d for d in range(1, g + 1)]
         cols.append(vm * (g + 1))
         walk = np.stack(cols, axis=1).reshape(-1)
-        enc = [p * (g + 1) + d for (d, p) in mm.nested_tlb.policy._order]
+        nt = mm.nested_tlb
+        enc = [p * (g + 1) + d for (d, p) in nt.policy._order]
         kern_n = StreamKernel(walk, enc)
-        nC = mm.nested_tlb.capacity
-        n_hits, n_misses = kern_n.counts(nC)
+        n_misses = kern_n.counts(nt.capacity)[1]
         ledger.extra["host_tlb_misses"] += n_misses
         ledger.extra["walk_touches"] += g * miss_idx.size + mm.host_levels * n_misses
-        nt = mm.nested_tlb
-        nt.hits += n_hits
-        nt.misses += n_misses
-        nt.evictions += kern_n.evictions(nC)
-        nt._clock += len(walk)
-        order = nt.policy._order
-        order.clear()
-        order.update(
-            dict.fromkeys(
-                (int(e) % (g + 1), int(e) // (g + 1))
-                for e in kern_n.final_residents(nC).tolist()
-            )
-        )
+
+        def decode(enc: np.ndarray) -> list:
+            return list(zip((enc % (g + 1)).tolist(), (enc // (g + 1)).tolist()))
+
+        _sync_cache(nt, kern_n, nt.capacity, decode=decode)
     return ledger
 
 
@@ -610,63 +665,46 @@ def _run_decoupled_system(system, units: np.ndarray, ledger):
     ram = system.ram
     if type(tlb) is not TLB or not _plain_lru(ram) or not _plain_lru(tlb):
         return None
-    kern_t = StreamKernel(_unit_stream(units, system.hmax), _lru_prefix(tlb))
-    kern_r = StreamKernel(units, _lru_prefix(ram))
-    n = len(units)
-    lC = tlb.entries
-    rC = ram.capacity
+    hpns = _unit_stream(units, system.hmax)
+    tp, lC = _warm_window(tlb.policy._order, hpns, tlb.entries)
+    rp, rC = _warm_window(ram.policy._order, units, ram.capacity)
+    kern_t = StreamKernel(hpns, tp)
+    kern_r = StreamKernel(units, rp)
     miss_pos = kern_r.miss_positions(rC)
-    deaths = kern_r.deaths(rC)
-    R0 = kern_r.R
-    first_evt = rC - R0  # miss index at which evictions start
-    io_unit = system.io_unit
+    first_evt = rC - kern_r.R  # miss index at which evictions start
     keys = kern_r.keys
     n_miss = int(miss_pos.size)
     inserts = keys[miss_pos].tolist() if n_miss else []
     n_ev = max(0, n_miss - first_evt)
-    evicts = keys[deaths[:n_ev]].tolist() if n_ev else []
+    evicts = keys[kern_r.deaths(rC)[:n_ev]].tolist() if n_ev else []
     failed = scheme.apply_events(inserts, evicts, first_evt)
     if failed is None:
         return None  # allocator has no bulk path; object engine
-    if failed >= 0:
-        gpos = int(miss_pos[failed])
-        done = gpos - R0 + 1  # through the failing access
-        ledger.accesses += done
-        th = int(
-            np.count_nonzero(kern_t.hit_mask(lC)[kern_t.R : kern_t.R + done])
-        )
-        ledger.tlb_hits += th
-        ledger.tlb_misses += done - th
-        ledger.ios += io_unit * (failed + 1)
+    if failed < 0:
+        done = len(units)
+    else:
+        done = int(miss_pos[failed]) - kern_r.R + 1  # through the failing access
+        n_miss = failed + 1
         ledger.decoding_misses += 1
         ledger.paging_failures += 1
-        _sync_decoupled(system, kern_t, kern_r, done)
-        return done
-    t_hits, t_misses = kern_t.counts(lC)
-    ledger.accesses += n
+    t_hits, t_misses = kern_t.counts(lC, kern_t.R + done)
+    ledger.accesses += done
     ledger.tlb_hits += t_hits
     ledger.tlb_misses += t_misses
-    ledger.ios += io_unit * miss_pos.size
-    _sync_decoupled(system, kern_t, kern_r, n)
-    return n
+    ledger.ios += system.io_unit * n_miss
+    _sync_decoupled(system, kern_t, lC, done, evicts)
+    _sync_cache(ram, kern_r, rC, done)
+    return done
 
 
-def _sync_decoupled(system, kern_t, kern_r, done: int) -> None:
-    """Move TLB/RAM/scheme-set state to access index *done* (the segment
-    end, or just past a failing access)."""
+def _sync_decoupled(system, kern_t, lC: int, done: int, evicts: list) -> None:
+    """Move the TLB and the scheme's ``T`` set to access index *done* (the
+    segment end, or just past a failing access); *evicts* are the RAM
+    keys the segment's bulk replay may have evicted."""
     scheme = system.scheme
     tlb = system.tlb
-    ram = system.ram
-    lC = tlb.entries
-    rC = ram.capacity
-    t_res = kern_t.residents_at(lC, kern_t.R + done).tolist()
-    r_res = kern_r.residents_at(rC, kern_r.R + done).tolist()
-    hm_t = kern_t.hit_mask(lC)[kern_t.R : kern_t.R + done]
-    hm_r = kern_r.hit_mask(rC)[kern_r.R : kern_r.R + done]
-    th = int(np.count_nonzero(hm_t))
-    tm = done - th
-    rh = int(np.count_nonzero(hm_r))
-    rm = done - rh
+    T = kern_t.R + done
+    th, tm = kern_t.counts(lC, T)
     tlb.hits += th
     tlb.misses += tm
     tlb.fills += tm
@@ -674,27 +712,28 @@ def _sync_decoupled(system, kern_t, kern_r, done: int) -> None:
     if tm:
         # fills stamp _clock - 1 at fill time; the monotonic floor never
         # engages mid-segment because miss stamps strictly increase
-        last_miss = int(np.flatnonzero(~hm_t)[-1])
+        last_miss = int(np.flatnonzero(~kern_t.hit_mask(lC)[kern_t.R : T])[-1])
         tlb._last_stamp = max(tlb._last_stamp, tlb._clock - done + last_miss)
-    # ψ updates for resident entries are free and always land the latest
-    # value, so the end state is ψ over the final resident set.  _values
-    # and _order are mutated in place: the TLB binds _values.get at init.
+    departed, moved = (a.tolist() for a in kern_t.order_delta(lC, T))
+    _apply_delta(tlb.policy._order, departed, moved)
+    # _values is mutated in place: the TLB binds _values.get at init
     vals = tlb._values
-    vals.clear()
-    for hpn in t_res:
-        vals[hpn] = scheme.psi(hpn)
-    order = tlb.policy._order
-    order.clear()
-    order.update(dict.fromkeys(t_res))
-    scheme._tlb_resident.clear()
-    scheme._tlb_resident.update(t_res)
-    ram.hits += rh
-    ram.misses += rm
-    ram.evictions += max(0, kern_r.R + rm - rC)
-    ram._clock += done
-    rorder = ram.policy._order
-    rorder.clear()
-    rorder.update(dict.fromkeys(r_res))
+    resident = scheme._tlb_resident
+    for hpn in departed:
+        vals.pop(hpn, None)
+        resident.discard(hpn)
+    resident.update(moved)
+    # ψ updates for resident entries are free and always land the latest
+    # value.  Entries the segment touched are re-read; an untouched one
+    # changed only if the bulk replay evicted one of its pages (a RAM
+    # insert always follows a lookup of the same huge page).
+    psi = scheme.psi
+    hmax = system.hmax
+    for hpn in moved:
+        vals[hpn] = psi(hpn)
+    for hpn in {v // hmax for v in evicts}:
+        if hpn in resident:
+            vals[hpn] = psi(hpn)
 
 
 def _run_decoupled(mm, trace: np.ndarray):

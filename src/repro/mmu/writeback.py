@@ -16,12 +16,22 @@ comparable with the paper's.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .._util import as_rng, check_probability
 from ..paging import ReplacementPolicy
 from .base import MMInspector
 from .hugepage import PhysicalHugePageMM, _PhysicalInspector
 
 __all__ = ["WritebackHugePageMM"]
+
+
+def _flush_if_dirty(dirty: set, ledger, h: int, hpn: int) -> None:
+    """RAM ``on_evict`` hook: an evicted dirty unit writes back ``h`` pages."""
+    if hpn in dirty:
+        dirty.remove(hpn)
+        ledger.extra["writeback_ios"] += h
+        ledger.extra["writebacks"] += 1
 
 
 class _WritebackInspector(_PhysicalInspector):
@@ -69,19 +79,16 @@ class WritebackHugePageMM(PhysicalHugePageMM):
         self._dirty: set[int] = set()
         self._extra_defaults = dict(writeback_ios=0, writebacks=0)
         self.ledger.extra.update(self._extra_defaults)
-        # intercept RAM evictions to flush dirty huge units
-        self.ram.on_evict = self._on_ram_evict
+        # intercept RAM evictions to flush dirty huge units (bound to the
+        # state it touches, not to self: no reference cycle)
+        self.ram.on_evict = partial(
+            _flush_if_dirty, self._dirty, self.ledger, huge_page_size
+        )
 
     def access(self, vpn: int) -> None:
         super().access(vpn)
         if self.write_fraction and self._rng.random() < self.write_fraction:
             self._dirty.add(vpn // self.huge_page_size)
-
-    def _on_ram_evict(self, hpn: int) -> None:
-        if hpn in self._dirty:
-            self._dirty.remove(hpn)
-            self.ledger.extra["writeback_ios"] += self.huge_page_size
-            self.ledger.extra["writebacks"] += 1
 
     def inspector(self) -> MMInspector:
         return _WritebackInspector(self)

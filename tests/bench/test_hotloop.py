@@ -13,6 +13,9 @@ from repro.bench.hotloop import (
 from repro.mmu import MM_NAMES
 from repro.paging import POLICIES
 
+#: registry algorithms with an array-engine handler (everything but THP).
+ARRAY_MMS = tuple(n for n in MM_NAMES if n != "thp")
+
 #: CI-sized shrink of the preset: same shape, two orders less work.
 _SMALL = dict(
     HOTLOOP_CONFIG,
@@ -63,12 +66,16 @@ class TestBenchHotloop:
         assert [n for n in names if n.startswith("cache:")] == [
             f"cache:{p}" for p in sorted(POLICIES)
         ]
+        quantum = f"@q{small_config['quantum']}"
         assert [n for n in names if n.startswith("mm:")] == [
             f"mm:{m}" for m in MM_NAMES
-        ] + [f"mm:{m}+fail" for m in sorted(FAILURE_MMS)]
+        ] + [f"mm:{m}+fail" for m in sorted(FAILURE_MMS)] + [
+            f"mm:{m}{quantum}" for m in ARRAY_MMS
+        ]
         assert sorted(n for n in names if n.startswith("mm@object:")) == sorted(
             [f"mm@object:{m}" for m in SAMPLED_MMS]
             + [f"mm@object:{m}+fail" for m in FAILURE_MMS]
+            + [f"mm@object:{m}{quantum}" for m in ARRAY_MMS]
         )
         assert sorted(n for n in names if n.startswith("mm+sampled:")) == [
             f"mm+sampled:{m}" for m in sorted(SAMPLED_MMS)
@@ -131,6 +138,20 @@ class TestBenchHotloop:
             assert plain["paging_failures"] > 0, name
             assert plain["decoding_misses"] > 0, name
             assert plain == twin, name
+
+    def test_quantum_rows_time_the_warm_half_on_both_engines(self, small_config):
+        """The ``@q<quantum>`` rows replay the second half of the trace in
+        ``quantum``-access calls after a warm-up; the engines must agree
+        there too, and the rows count only the timed accesses."""
+        rows, _ = bench_hotloop()
+        by = {r["component"]: r for r in rows}
+        timed = small_config["mm_accesses"] - small_config["mm_accesses"] // 2
+        for name in ARRAY_MMS:
+            plain = by[f"mm:{name}@q{small_config['quantum']}"]
+            twin = by[f"mm@object:{name}@q{small_config['quantum']}"]
+            assert plain["ops"] == twin["ops"] == timed, name
+            assert plain["counters"]["accesses"] == timed, name
+            assert plain["counters"] == twin["counters"], name
 
     def test_seed_override_recorded_in_config(self, small_config):
         _, payload = bench_hotloop(seed=3)

@@ -10,9 +10,9 @@ it can face).
 
 The multi-tenant goldens (``tests/tenancy/goldens.py``) extend the same
 pinning to ASID-striped runs: the object engine must reproduce the
-committed stream row for row, and the array engine — which accepts every
-per-quantum segment of these schedules rather than declining them — must
-land on exactly the golden totals.
+committed stream row for row, and the array engine must accept every
+per-quantum segment of these schedules, land on exactly the golden
+totals, and end in the object engine's deep state.
 """
 
 import pytest
@@ -25,9 +25,11 @@ from repro.check import (
     load_golden,
     record_stream,
 )
+from repro.mmu import array_engine
 from repro.mmu.registry import make_mm
 from repro.obs import NULL_PROBE
 
+from ..mmu.test_array_engine import _state_sig
 from ..tenancy.goldens import build_sim
 from ..tenancy.goldens import golden_cases as mt_golden_cases
 from .goldens import (
@@ -93,13 +95,29 @@ class TestMultiTenantEngineParity:
         div = first_divergence(tap.as_tuples(), golden_rows)
         assert div is None, f"{algorithm}/t{k}: {div.describe()}"
 
-    def test_array_engine_falls_back_to_golden_totals(self, algorithm, k, path):
+    def test_array_engine_falls_back_to_golden_totals(
+        self, algorithm, k, path, monkeypatch
+    ):
         # no probe here: an attached tap would itself force the object
-        # path, hiding exactly the fallback this test pins
+        # path. Every per-quantum segment must be accepted — a handler
+        # that silently declines short warm segments fails here, even
+        # though the object fallback would still land on the totals.
         _, golden_rows = load_golden(path)
         totals = golden_totals(golden_rows)
+        results = []
+        real_try_run = array_engine.try_run
+
+        def counting_try_run(mm, trace):
+            results.append(real_try_run(mm, trace))
+            return results[-1]
+
+        monkeypatch.setattr(array_engine, "try_run", counting_try_run)
         sim = build_sim(algorithm, k, engine="array")
         result = sim.run()
+        assert results, "the array engine was never asked"
+        assert all(r is not None for r in results), (
+            f"{sum(r is None for r in results)} of {len(results)} segments declined"
+        )
         ledger = result.ledger
         assert ledger.accesses == totals["accesses"]
         assert ledger.tlb_misses == totals["tlb_misses"]
@@ -109,8 +127,11 @@ class TestMultiTenantEngineParity:
         result.verify_counter_sums()
 
     def test_engines_agree_on_tenant_ledgers(self, algorithm, k, path):
-        res_obj = build_sim(algorithm, k, engine="object").run()
-        res_arr = build_sim(algorithm, k, engine="array").run()
+        sim_obj = build_sim(algorithm, k, engine="object")
+        sim_arr = build_sim(algorithm, k, engine="array")
+        res_obj = sim_obj.run()
+        res_arr = sim_arr.run()
+        assert _state_sig(sim_obj.mm) == _state_sig(sim_arr.mm)
         assert res_obj.ledger.as_dict() == res_arr.ledger.as_dict()
         assert res_obj.switches == res_arr.switches
         assert [e.dropped for e in res_obj.shootdowns] == [

@@ -14,6 +14,10 @@ boundary. These tests pin that promise:
 * the paging-failure bailout: the array engine detects the failing access
   mid-segment, syncs state up to it, and the object engine resumes with
   ledgers and ``φ`` bookkeeping identical to a pure object run;
+* short segments over warm caches, where each kernel starts from a window
+  of the resident set and the object state is synced incrementally:
+  random cut points and shootdowns, the write-back dirty carry outside
+  the window, and paging failures inside a windowed segment;
 * engine selection through the registry, ``simulate``, and ``SimTask``.
 """
 
@@ -22,7 +26,8 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.bench.hotloop import key_stream
+from repro.bench.hotloop import FAILURE_MMS, HOTLOOP_CONFIG, key_stream
+from repro.mmu import array_engine
 from repro.mmu.array_engine import StreamKernel, supports, try_run
 from repro.mmu.registry import ENGINES, MM_NAMES, make_mm, mm_factory
 from repro.obs import SamplingProbe, TraceRecorder
@@ -116,7 +121,7 @@ class TestStreamKernel:
             hits, victims, residents = _lru_oracle(seg.tolist(), prefix, cap)
             assert kern.hit_mask(cap)[kern.R :].tolist() == hits, trial
             assert kern.keys[kern.deaths(cap)].tolist() == victims, trial
-            assert kern.final_residents(cap).tolist() == residents, trial
+            assert kern.residents_at(cap, kern.n).tolist() == residents, trial
 
     def test_dense_stream_exercises_ladder_and_grid(self):
         # small universe + large n leaves thousands of ambiguous queries,
@@ -138,6 +143,36 @@ class TestStreamKernel:
         for cut in (0, 77, 150, 299):
             _, _, residents = _lru_oracle(seg[:cut].tolist(), (), cap)
             assert kern.residents_at(cap, cut).tolist() == residents
+
+    def test_windowed_warm_start_matches_oracle(self):
+        # a warm cache holding more than twice the segment: the kernel
+        # starts from a window of it, runs at capacity C - |U|, and its
+        # order delta brings the full order to the oracle's
+        rng = np.random.default_rng(17)
+        windowed = 0
+        for trial in range(200):
+            cap = int(rng.integers(6, 90))
+            universe = cap + int(rng.integers(1, 3 * cap))
+            resident = int(rng.integers(cap // 2, cap + 1))
+            prefix = rng.permutation(universe)[:resident].tolist()
+            n = int(rng.integers(1, max(2, resident // 2 + 2)))
+            seg = np.where(
+                rng.random(n) < 0.6,
+                rng.choice(prefix, n),
+                rng.integers(0, universe, n),
+            ).astype(np.int64)
+            order = OrderedDict.fromkeys(prefix)
+            window, C = array_engine._warm_window(order, seg, cap)
+            kern = StreamKernel(seg, window)
+            windowed += kern.R < resident
+            hits, victims, residents = _lru_oracle(seg.tolist(), prefix, cap)
+            assert kern.hit_mask(C)[kern.R :].tolist() == hits, trial
+            assert kern.keys[kern.deaths(C)].tolist() == victims, trial
+            departed, moved = (a.tolist() for a in kern.order_delta(C))
+            assert set(departed).isdisjoint(residents), trial
+            array_engine._apply_delta(order, departed, moved)
+            assert list(order) == residents, trial
+        assert windowed > 100
 
 
 # ------------------------------------------------------- engine parity
@@ -222,6 +257,115 @@ class TestPagingFailureBailout:
             arr.run(trace[a:b])
             assert _state_sig(obj) == _state_sig(arr), f"segment {a}:{b}"
         assert obj.ledger.paging_failures > 0
+
+
+# ------------------------------------------------- short-segment window
+
+
+@pytest.fixture
+def window_log(monkeypatch):
+    """Record ``(cache capacity, kernel capacity)`` of every warm start."""
+    log = []
+    real = array_engine._warm_window
+
+    def spy(order, keys, C):
+        prefix, kernel_C = real(order, keys, C)
+        log.append((C, kernel_C))
+        return prefix, kernel_C
+
+    monkeypatch.setattr(array_engine, "_warm_window", spy)
+    return log
+
+
+def _random_cuts(rng, start, stop, longest):
+    """Seeded cut points in ``[start, stop]``: segment lengths in
+    ``1..longest``, with a run of 1-access segments up front."""
+    cuts = [start]
+    while cuts[-1] < stop:
+        step = 1 if len(cuts) <= 8 else int(rng.integers(1, longest + 1))
+        cuts.append(min(stop, cuts[-1] + step))
+    return cuts
+
+
+@pytest.mark.parametrize("name", ARRAY_MMS)
+def test_short_segments_with_shootdowns_keep_deep_state(name, window_log):
+    # warm caches hold more than twice every segment, so each call
+    # starts from a window of the resident set; shootdowns between
+    # segments punch holes in the TLB order the next window reads
+    rng = np.random.default_rng(MM_NAMES.index(name))
+    obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0)
+    arr = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="array")
+    obj.run(TRACE[:3_000])
+    arr.run(TRACE[:3_000])
+    cuts = _random_cuts(rng, 3_000, 8_000, 24)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        obj.run(TRACE[a:b])
+        arr.run(TRACE[a:b])
+        assert _state_sig(obj) == _state_sig(arr), f"segment {a}:{b}"
+        if rng.random() < 0.25:
+            lo = int(rng.integers(0, 1 << 12))
+            hi = lo + int(rng.integers(1, 1 << 9))
+            assert obj.shootdown(lo, hi) == arr.shootdown(lo, hi)
+            assert _state_sig(obj) == _state_sig(arr), f"shootdown {lo}:{hi}"
+    assert any(kernel_C < C for C, kernel_C in window_log), "window never engaged"
+
+
+def test_writeback_dirty_bits_outside_the_window_carry_over():
+    # residents outside the window are untouched and never evicted, so
+    # the segment must leave their dirty bits exactly as it found them
+    obj = make_mm("physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0)
+    arr = make_mm(
+        "physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0, engine="array"
+    )
+    obj.run(TRACE[:3_000])
+    arr.run(TRACE[:3_000])
+    rng = np.random.default_rng(5)
+    cuts = _random_cuts(rng, 3_000, 9_000, 24)
+    carried = 0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        hpns = TRACE[a:b] // arr.huge_page_size
+        prefix, _ = array_engine._warm_window(
+            arr.ram.policy._order, hpns, arr.ram.capacity
+        )
+        carried += bool(arr._dirty - set(prefix))
+        obj.run(TRACE[a:b])
+        arr.run(TRACE[a:b])
+        assert _state_sig(obj) == _state_sig(arr), f"segment {a}:{b}"
+    assert carried > 100, "no dirty resident ever sat outside the window"
+    assert obj.ledger.extra["writebacks"] > 0
+
+
+@pytest.mark.parametrize("name", sorted(FAILURE_MMS))
+def test_paging_failure_inside_a_windowed_segment(name):
+    # the undersized failure cells, cut into 1..7-access segments: the
+    # hybrid RAM holds 15 units, so only segments that short are
+    # windowed; the bailout then syncs a windowed state mid-segment
+    geom = FAILURE_MMS[name]
+    trace = np.asarray(
+        key_stream(4_000, geom["universe"], geom["universe"] // 8, 50, seed=0),
+        dtype=np.int64,
+    )
+    mm_seed = HOTLOOP_CONFIG["fail_mm_seed"]
+    obj = make_mm(name, geom["tlb_entries"], geom["ram_pages"], seed=mm_seed)
+    arr = make_mm(
+        name, geom["tlb_entries"], geom["ram_pages"], seed=mm_seed, engine="array"
+    )
+    rng = np.random.default_rng(1)
+    windowed_failures = 0
+    cuts = _random_cuts(rng, 0, len(trace), 7)
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        # a clean scheme means the array engine takes the segment, so a
+        # new failure in it was detected by the batch kernel's bailout
+        batched = not arr.system.scheme._failed
+        windowed = len(arr.system.ram.policy._order) > 2 * (b - a)
+        failures = arr.ledger.paging_failures
+        obj.run(trace[a:b])
+        arr.run(trace[a:b])
+        assert _state_sig(obj) == _state_sig(arr), f"segment {a}:{b}"
+        windowed_failures += (
+            batched and windowed and arr.ledger.paging_failures > failures
+        )
+    assert windowed_failures >= 2, "no paging failure inside a windowed segment"
 
 
 # --------------------------------------------------- selection plumbing
