@@ -25,9 +25,15 @@ slower. Each component is timed on its own fixed key stream:
   engine pair for every algorithm the array engine handles, in short
   segments: the machine warms up on the first half of the preset trace
   in one ``run()``, then the second half is timed in ``quantum``-access
-  ``run()`` calls (one multi-tenant turn each), so every array-engine
-  call starts from a warm cache. The engine-identity gate pairs these
-  rows by name like the ``+fail`` rows;
+  ``run()`` calls (one tenant turn each, as when every turn ends in a
+  shootdown), so every array-engine call starts from a warm cache. The
+  engine-identity gate pairs these rows by name like the ``+fail`` rows;
+* ``mm:<name>@t<tenants>`` / ``mm@object:<name>@t<tenants>`` — the same
+  engine pair for every registry algorithm as a multi-tenant machine: the
+  preset trace split into ``tenants`` equal tenant streams, driven by a
+  round-robin :class:`~repro.tenancy.MultiTenantSim` at ``quantum`` with
+  arrivals staggered over the first half of the run (churn 0.5) and a φ
+  remap every 8 turns. Paired by name like the ``@q`` rows;
 * ``mm+sampled:<name>`` — ``run()`` with a batch-safe
   :class:`~repro.obs.sampling.SamplingProbe` attached, for every fast-path
   algorithm. The probe must not perturb the simulation (identical
@@ -75,6 +81,7 @@ from ..obs import (
     accesses_per_second,
 )
 from ..paging import POLICIES, PageCache, make_policy
+from ..tenancy import MultiTenantSim, Tenant
 from ..tlb import TLB
 from .smoke import BENCH_FORMAT, machine_info
 
@@ -108,6 +115,7 @@ HOTLOOP_CONFIG: dict = {
     "fail_hot_percent": 50,  # hot share of the failure key streams
     "fail_mm_seed": 2,  # mm seed for the failure rows (streams use "seed")
     "quantum": 64,  # run() length of the mm@q<quantum> rows' timed half
+    "tenants": 8,  # tenant streams of the mm@t<tenants> rows (same quantum)
     "repeats": 5,  # best-of timing repeats per component
     "seed": 0,
 }
@@ -327,18 +335,20 @@ def _bench_mm_probed(name: str, trace, cfg) -> list[dict]:
 def _engine_pair(component: str, ops: int, cfg, build, replay) -> list[dict]:
     """Time ``replay(build(engine))`` on the configured engine (the
     ``mm:`` row) and on the object engine (the ``mm@object:`` twin),
-    interleaved, best of ``repeats``; ``build`` is untimed.  The
-    check_bench engine gate holds the twins' counters bit-identical."""
+    interleaved, best of ``repeats``.  ``build`` is untimed and returns
+    what ``replay`` drives (an MM or a multi-tenant sim); ``replay``
+    returns the ledger the row reports.  The check_bench engine gate
+    holds the twins' counters bit-identical."""
     variants = (("mm", cfg["mm_engine"]), ("mm@object", "object"))
     best = {prefix: math.inf for prefix, _ in variants}
     counters: dict = {prefix: {} for prefix, _ in variants}
     for _ in range(max(1, cfg["repeats"])):
         for prefix, engine in variants:
-            mm = build(engine)
+            target = build(engine)
             with Timer() as t:
-                replay(mm)
+                ledger = replay(target)
             best[prefix] = min(best[prefix], t.elapsed)
-            counters[prefix] = _ledger_counters(mm.ledger)
+            counters[prefix] = _ledger_counters(ledger)
     return [
         _row(f"{prefix}:{component}", ops, best[prefix], counters[prefix])
         for prefix, _ in variants
@@ -385,7 +395,7 @@ def _bench_mm_quantum(name: str, trace, cfg) -> list[dict]:
     Warm-up (untimed, then ``reset_stats``): the first half of *trace* in
     one ``run()``.  Timed: the second half in ``cfg["quantum"]``-access
     ``run()`` calls, so the rows measure the per-call cost a warm
-    machine pays, the shape of a multi-tenant turn.
+    machine pays, the shape of a lone tenant turn between shootdowns.
     """
     q = cfg["quantum"]
     half = len(trace) // 2
@@ -404,8 +414,38 @@ def _bench_mm_quantum(name: str, trace, cfg) -> list[dict]:
         run = mm.run
         for segment in segments:
             run(segment)
+        return mm.ledger
 
     return _engine_pair(f"{name}@q{q}", len(trace) - half, cfg, build, replay)
+
+
+def _bench_mm_tenants(name: str, trace, cfg) -> list[dict]:
+    """Time one algorithm as a multi-tenant machine on both engines
+    (:func:`_engine_pair`).
+
+    *trace* splits into ``cfg["tenants"]`` equal tenant streams with
+    arrivals staggered over the first half of the run; one round-robin
+    :class:`~repro.tenancy.MultiTenantSim` run at ``cfg["quantum"]``
+    with a φ remap every 8 turns is timed.
+    """
+    k = cfg["tenants"]
+    per = len(trace) // k
+    streams = [trace[i * per : (i + 1) * per] for i in range(k)]
+
+    def build(engine):
+        mm = make_mm(
+            name, cfg["mm_tlb_entries"], cfg["mm_ram_pages"],
+            seed=cfg["seed"], engine=engine,
+        )
+        tenants = [
+            Tenant(f"t{i}", trace=stream, arrival=per * i // 2)
+            for i, stream in enumerate(streams)
+        ]
+        return MultiTenantSim(mm, tenants, quantum=cfg["quantum"], remap_every=8)
+
+    return _engine_pair(
+        f"{name}@t{k}", per * k, cfg, build, lambda sim: sim.run().ledger
+    )
 
 
 def bench_hotloop(*, seed: int | None = None) -> tuple[list[dict], dict]:
@@ -450,6 +490,8 @@ def bench_hotloop(*, seed: int | None = None) -> tuple[list[dict], dict]:
             mm = make_mm(name, cfg["mm_tlb_entries"], cfg["mm_ram_pages"])
             if supports(mm):
                 rows.extend(_bench_mm_quantum(name, trace, cfg))
+        for name in MM_NAMES:
+            rows.extend(_bench_mm_tenants(name, trace, cfg))
         rows.extend(probed_rows)
 
     # geometric mean: a 2x regression in one component moves the aggregate

@@ -41,16 +41,22 @@ enters a kernel as a window of its LRU order (:func:`_warm_window`), and
 the object state leaves it through one incremental step
 (:meth:`StreamKernel.order_delta`), exact after every call.
 
+A segment may interleave several address spaces.  With the MM's
+``asid_ledgers`` bound, the two fold sites (:func:`_paged_fold`,
+:func:`_run_decoupled_system`) credit each access to ASID
+``key // asid_stride`` with a ``bincount`` over the hit masks they fold
+into the machine's ledger (:func:`_fold_counts`).
+
 Handlers cover BasePageMM / PhysicalHugePageMM (pure counter folds),
 WritebackHugePageMM (vectorized store sampling + dirty-at-eviction
 replay), NestedTranslationMM (the 2-D walk becomes a derived LRU stream
 over page-table node keys), and DecoupledMM / HybridMM (RAM misses
 replayed sparsely through the real scheme; a paging failure mid-segment
-bails out to the object engine with state synchronized at the failing
-access).  Handlers are keyed by exact class, so subclasses (which may
-redefine ``access``) never match.  THPStyleMM stays on the object engine:
-promotion migrates frames through a real allocator whose fragmentation
-is inherently sequential.
+bails out with state synchronized at the failing access, and ``run``
+finishes the segment on the object engine).  Handlers are keyed by exact
+class, so subclasses (which may redefine ``access``) never match.
+THPStyleMM stays on the object engine: promotion migrates frames through
+a real allocator whose fragmentation is inherently sequential.
 """
 
 from __future__ import annotations
@@ -74,9 +80,11 @@ __all__ = ["StreamKernel", "try_run", "supports"]
 # Tuning knobs (speed only; every path is exact).  Streams whose
 # ambiguous set after pruning exceeds _DENSE_AMB get the sliding-window
 # ladder; survivors with windows narrower than _SCAN_MAX are scanned
-# directly; the dominance grid uses _BT x _BV blocks.
+# directly, in blocks of at most _SCAN_CELLS rows x width (a bound on the
+# scan's temporaries); the dominance grid uses _BT x _BV blocks.
 _DENSE_AMB = 4000
 _SCAN_MAX = 640
+_SCAN_CELLS = 1 << 16
 _LADDER_STEPS = 9  # widths C * 2**(k/4), k = 0 .. _LADDER_STEPS-1
 _BT = 128
 _BV = 128
@@ -286,7 +294,7 @@ class StreamKernel:
         """Exact ``d`` for narrow windows by counting first-in-window
         positions ``j`` in ``(p, i)`` (those with ``prev[j] <= p``),
         batched by window width so one wide straggler can't pad every
-        row."""
+        row, and capped at ``_SCAN_CELLS`` elements per block."""
         p = self.prev[q]
         width = q - p - 1
         out = np.empty(q.size, dtype=np.int32)
@@ -294,8 +302,13 @@ class StreamKernel:
         sw = width[order]
         lo = 0
         while lo < order.size:
-            wmax = int(sw[min(sw.size - 1, lo + 2047)])
-            hi = max(int(np.searchsorted(sw, wmax, side="right")), lo + 1)
+            # the block's last (widest) row sets its width: size the block
+            # from its first row, then shrink it to fit its last
+            hi = min(lo + max(_SCAN_CELLS // max(int(sw[lo]), 1), 1), sw.size)
+            wmax = int(sw[hi - 1])
+            if (hi - lo) * wmax > _SCAN_CELLS:
+                hi = lo + max(_SCAN_CELLS // wmax, 1)
+                wmax = int(sw[hi - 1])
             sel = order[lo:hi]
             ps = p[sel]
             W = ps[:, None] + np.arange(1, max(wmax, 1) + 1, dtype=np.int32)
@@ -501,13 +514,40 @@ def _replay_ghost(ghost, kernel: StreamKernel, C: int) -> None:
     )
 
 
+def _fold_counts(mm, trace: np.ndarray, tlb_hit, ram_hit, io_unit: int) -> None:
+    """Fold the accesses of *trace* into ``mm.ledger`` and, when bound,
+    into ``mm.asid_ledgers``: one access apiece, a TLB hit or miss as the
+    *tlb_hit* mask says, and *io_unit* IOs where the *ram_hit* mask is
+    clear.  Access ``i`` is credited to ASID ``trace[i] // asid_stride``."""
+    n = len(trace)
+    misses = n - int(np.count_nonzero(tlb_hit))
+    faults = n - int(np.count_nonzero(ram_hit))
+    folds = [(mm.ledger, n, misses, faults)]
+    credit = mm.asid_ledgers
+    if credit is not None:
+        asids = trace // mm.asid_stride
+        k = len(credit)
+        per_miss = np.bincount(asids[~tlb_hit], minlength=k).tolist()
+        per_fault = np.bincount(asids[~ram_hit], minlength=k).tolist()
+        folds += [
+            (credit[asid], c, per_miss[asid], per_fault[asid])
+            for asid, c in enumerate(np.bincount(asids, minlength=k).tolist())
+            if c
+        ]
+    for ledger, c, m, f in folds:
+        ledger.accesses += c
+        ledger.tlb_misses += m
+        ledger.tlb_hits += c - m
+        ledger.ios += io_unit * f
+
+
 def _paged_fold(mm, trace: np.ndarray) -> tuple[StreamKernel, int, StreamKernel, int]:
     """Shared TLB+RAM fold for the physical-huge-page family (and the
-    nested MM's guest side): folds both caches' counters into the ledger,
-    syncs their object state and replays any attribution ghosts. Returns
-    ``(tlb_kernel, tlb_capacity, ram_kernel, ram_capacity)`` — each
-    kernel with the capacity it runs at — so handlers can reuse their
-    miss and death sequences."""
+    nested MM's guest side): folds both caches' counters into the ledger
+    (and the per-ASID ledgers), syncs their object state and replays any
+    attribution ghosts. Returns ``(tlb_kernel, tlb_capacity, ram_kernel,
+    ram_capacity)`` — each kernel with the capacity it runs at — so
+    handlers can reuse their miss and death sequences."""
     h = mm.translation_alignment()
     hpns = _unit_stream(trace, h)
     tp, tC = _warm_window(mm.tlb.policy._order, hpns, mm.tlb.capacity)
@@ -515,12 +555,9 @@ def _paged_fold(mm, trace: np.ndarray) -> tuple[StreamKernel, int, StreamKernel,
     kern_t = StreamKernel(hpns, tp)
     # bench configs give TLB and RAM equal capacity: one kernel, one pass
     kern_r = kern_t if tC == rC and tp == rp else StreamKernel(hpns, rp)
-    ledger = mm.ledger
-    ledger.accesses += len(trace)
-    t_hits, t_misses = kern_t.counts(tC)
-    ledger.tlb_hits += t_hits
-    ledger.tlb_misses += t_misses
-    ledger.ios += h * kern_r.counts(rC)[1]
+    _fold_counts(
+        mm, trace, kern_t.hit_mask(tC)[kern_t.R :], kern_r.hit_mask(rC)[kern_r.R :], h
+    )
     _sync_cache(mm.tlb, kern_t, tC)
     _sync_cache(mm.ram, kern_r, rC)
     if mm.tlb._ghost is not None:
@@ -534,7 +571,7 @@ def _run_hugepage(mm, trace: np.ndarray):
     if not (_plain_lru(mm.tlb) and _plain_lru(mm.ram)):
         return None
     _paged_fold(mm, trace)
-    return mm.ledger
+    return len(trace)
 
 
 def _per_key_store_counts(keys: np.ndarray, marks: np.ndarray) -> np.ndarray:
@@ -608,7 +645,7 @@ def _run_writeback(mm, trace: np.ndarray):
             base = last_death.get(key)
             if sk[a] - (sk[base] if base is not None else 0) > 0:
                 dirty_set.add(key)
-    return ledger
+    return len(trace)
 
 
 def _run_nested(mm, trace: np.ndarray):
@@ -642,11 +679,12 @@ def _run_nested(mm, trace: np.ndarray):
             return list(zip((enc % (g + 1)).tolist(), (enc // (g + 1)).tolist()))
 
         _sync_cache(nt, kern_n, nt.capacity, decode=decode)
-    return ledger
+    return len(trace)
 
 
-def _run_decoupled_system(system, units: np.ndarray, ledger):
-    """Shared batch path for DecoupledSystem wrappers (decoupled/hybrid).
+def _run_decoupled_system(mm, trace: np.ndarray, units: np.ndarray):
+    """Shared batch path for DecoupledSystem wrappers (decoupled/hybrid);
+    *units* are the RAM keys of the global page *trace*.
 
     TLB and RAM counters fold from two kernels; the segment's whole RAM
     miss/eviction stream is applied in one bulk pass
@@ -658,6 +696,7 @@ def _run_decoupled_system(system, units: np.ndarray, ledger):
     the failing access, with all state synchronized there so the caller
     can finish the segment on the object engine.
     """
+    system = mm.system
     scheme = system.scheme
     if scheme._failed:
         return None  # failed residents charge per access; object engine
@@ -680,18 +719,22 @@ def _run_decoupled_system(system, units: np.ndarray, ledger):
     failed = scheme.apply_events(inserts, evicts, first_evt)
     if failed is None:
         return None  # allocator has no bulk path; object engine
-    if failed < 0:
-        done = len(units)
-    else:
-        done = int(miss_pos[failed]) - kern_r.R + 1  # through the failing access
-        n_miss = failed + 1
-        ledger.decoding_misses += 1
-        ledger.paging_failures += 1
-    t_hits, t_misses = kern_t.counts(lC, kern_t.R + done)
-    ledger.accesses += done
-    ledger.tlb_hits += t_hits
-    ledger.tlb_misses += t_misses
-    ledger.ios += system.io_unit * n_miss
+    done = len(units) if failed < 0 else int(miss_pos[failed]) - kern_r.R + 1
+    _fold_counts(
+        mm,
+        trace[:done],
+        kern_t.hit_mask(lC)[kern_t.R : kern_t.R + done],
+        kern_r.hit_mask(rC)[kern_r.R : kern_r.R + done],
+        system.io_unit,
+    )
+    if failed >= 0:
+        # the failing access (the segment's last) also pays a decoding miss
+        ledgers = [mm.ledger]
+        if mm.asid_ledgers is not None:
+            ledgers.append(mm.asid_ledgers[int(trace[done - 1]) // mm.asid_stride])
+        for ledger in ledgers:
+            ledger.decoding_misses += 1
+            ledger.paging_failures += 1
     _sync_decoupled(system, kern_t, lC, done, evicts)
     _sync_cache(ram, kern_r, rC, done)
     return done
@@ -737,22 +780,11 @@ def _sync_decoupled(system, kern_t, lC: int, done: int, evicts: list) -> None:
 
 
 def _run_decoupled(mm, trace: np.ndarray):
-    done = _run_decoupled_system(mm.system, trace, mm.ledger)
-    if done is None:
-        return None
-    if done < len(trace):
-        mm.system.run(trace[done:])  # paging failure: object engine
-    return mm.ledger
+    return _run_decoupled_system(mm, trace, trace)
 
 
 def _run_hybrid(mm, trace: np.ndarray):
-    units = _unit_stream(trace, mm.chunk)
-    done = _run_decoupled_system(mm.system, units, mm.ledger)
-    if done is None:
-        return None
-    if done < len(units):
-        mm.system.run(units[done:])  # paging failure: object engine
-    return mm.ledger
+    return _run_decoupled_system(mm, trace, _unit_stream(trace, mm.chunk))
 
 
 _HANDLERS = {
@@ -774,11 +806,13 @@ def supports(mm) -> bool:
 def try_run(mm, trace):
     """Run one segment of *trace* through the batch engine.
 
-    Returns the ledger on success, or ``None`` meaning "use the object
-    engine": no handler for *mm*'s exact class, eviction provenance
-    outside the hugepage family, a non-LRU policy, or scheme state the
-    batch replay can't honor (pre-existing paging failures). Probe
-    dispatch and ``on_batch`` flushes are
+    Returns the number of leading accesses served — the whole segment,
+    or, after a paging failure, the accesses through the failing one —
+    or ``None`` meaning "use the object engine": no handler for *mm*'s
+    exact class, eviction provenance outside the hugepage family, a
+    non-LRU policy, or scheme state the batch replay can't honor
+    (pre-existing paging failures). Finishing a segment on the object
+    engine, probe dispatch and ``on_batch`` flushes are
     :meth:`~repro.mmu.base.MemoryManagementAlgorithm.run`'s job.
     """
     handler = _HANDLERS.get(type(mm))
@@ -794,5 +828,5 @@ def try_run(mm, trace):
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
         arr = np.asarray([int(x) for x in trace], dtype=np.int64)
     if arr.size == 0:
-        return mm.ledger
+        return 0
     return handler(mm, arr.astype(np.int64, copy=False))

@@ -29,12 +29,17 @@ exactly like a hardware ASID tag — no entry can straddle tenants, and
 ASID 0 is the identity mapping (``run_asid(0, t) == run(t)`` bit for bit).
 :meth:`shootdown` invalidates the TLB entries covering a page range
 (tenant exit, φ change); it is TLB-only and free in the cost model, like
-a hardware invalidation IPI.
+a hardware invalidation IPI. With :attr:`~MemoryManagementAlgorithm.asid_ledgers`
+bound, :meth:`run` also credits every access's counters to the ledger of
+ASID ``key // asid_stride``, so one call may serve a stream that
+interleaves several address spaces and still account them apart.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+
+import numpy as np
 
 from .._util import as_int_list, next_power_of_two
 from ..core import CostLedger
@@ -165,6 +170,11 @@ class MemoryManagementAlgorithm(ABC):
         #: base pages per ASID slice, set by :meth:`bind_asid_space`
         #: (None until an address-space layout is bound).
         self.asid_stride: int | None = None
+        #: per-ASID ledgers :meth:`run` credits each access to (index
+        #: ``key // asid_stride``), on top of :attr:`ledger`. The
+        #: multi-tenant simulator binds its tenants' ledgers for the length of
+        #: a run; None means no per-ASID accounting.
+        self.asid_ledgers: list[CostLedger] | None = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         # a batch hook replays its own class's access semantics, so a
@@ -279,13 +289,18 @@ class MemoryManagementAlgorithm(ABC):
         is one segment — or ``batch_interval``-access segments for a live
         probe — and each segment runs on the array engine when
         ``engine == "array"`` and a handler accepts it, else through
-        :meth:`_run_batch`; an attached probe receives exactly one
-        ``on_batch`` flush per segment. Counters and deep state are
+        :meth:`_run_batch`; an array-engine bailout (a paging failure)
+        hands the rest of its segment to :meth:`_run_batch`. An attached
+        probe receives exactly one ``on_batch`` flush per segment. With
+        :attr:`asid_ledgers` bound, the array engine credits them per
+        access and the object paths per same-ASID stretch
+        (:meth:`_replay_credited`). Counters and deep state are
         bit-identical on every path.
         """
         probe = self.probe
         if probe.enabled and not probe.batch_safe:
-            return self._run_probed(trace)
+            self._replay_credited(self._run_probed, trace)
+            return self.ledger
         observed = probe.enabled
         interval = probe.batch_interval if observed else None
         if interval is None:
@@ -303,11 +318,41 @@ class MemoryManagementAlgorithm(ABC):
             if observed:
                 t0 = ledger.accesses
                 before = ledger.snapshot()
-            if engine is None or engine.try_run(self, segment) is None:
-                self._run_batch(segment)
+            done = 0 if engine is None else (engine.try_run(self, segment) or 0)
+            if done < len(segment):
+                self._replay_credited(
+                    self._run_batch, segment[done:] if done else segment
+                )
             if observed:
                 probe.on_batch(t0, segment, ledger, before)
         return ledger
+
+    def _replay_credited(self, replay, trace) -> None:
+        """``replay(trace)`` on the object engine, crediting
+        :attr:`asid_ledgers` when bound: *replay* then runs once per
+        maximal same-ASID stretch of *trace*, and each stretch's ledger
+        delta goes to its ASID."""
+        credit = self.asid_ledgers
+        if credit is None or not len(trace):
+            replay(trace)
+            return
+        asids = np.asarray(trace, dtype=np.int64) // self.asid_stride
+        ends = [i + 1 for i in (asids[1:] != asids[:-1]).nonzero()[0].tolist()]
+        ends.append(len(asids))
+        ledger = self.ledger
+        lo = 0
+        for hi in ends:
+            before = ledger.snapshot()
+            replay(trace[lo:hi])
+            after = ledger.snapshot()
+            target = credit[int(asids[lo])]
+            target.accesses += after[0] - before[0]
+            target.ios += after[1] - before[1]
+            target.tlb_misses += after[2] - before[2]
+            target.tlb_hits += after[3] - before[3]
+            target.decoding_misses += after[4] - before[4]
+            target.paging_failures += after[5] - before[5]
+            lo = hi
 
     def _run_batch(self, trace) -> None:
         """Replay one segment on the object engine: the batch hook.

@@ -3,17 +3,25 @@
 :class:`MultiTenantSim` context-switches a set of :class:`~.tenant.Tenant`
 streams over **one** shared memory-management algorithm, using the ASID
 contract of :class:`~repro.mmu.base.MemoryManagementAlgorithm`: tenant
-``i`` becomes ASID ``i``, its pages live in slice
-``[i·stride, (i+1)·stride)`` of the global space, and every access goes
-through ``run_asid`` — so the shared TLB, RAM, and (for decoupled schemes)
-the allocator genuinely multiplex the tenants, exactly as a tagged TLB
-multiplexes address spaces in hardware.
-
-Cost attribution is by counter deltas: each quantum's ledger delta is
-credited to the tenant that ran, so per-tenant ledgers sum **exactly** to
-the machine's global ledger (``MultiTenantResult.verify_counter_sums``).
+``i`` becomes ASID ``i`` and its pages live in slice
+``[i·stride, (i+1)·stride)`` of the global space — so the shared TLB,
+RAM, and (for decoupled schemes) the allocator genuinely multiplex the
+tenants, exactly as a tagged TLB multiplexes address spaces in hardware.
 A tenant that finishes exits with a TLB shootdown of its slice — the
 flush events the paper's context-switch discussion prices.
+
+Shootdowns are free in the cost model, so between two of them the
+machine just serves one ASID-striped stream, and the schedulers read no
+machine state: :meth:`MultiTenantSim.run` buffers turns and runs each
+such span as **one** ``mm.run`` of their concatenation.
+
+Cost attribution is per access: while the sim runs, the tenants' ledgers
+are the machine's ``asid_ledgers``, and ``run`` credits every access's
+counters to ASID ``key // stride`` (a bincount over the array engine's
+hit and miss masks, or a ledger delta per same-ASID stretch on the object
+paths). Per-tenant ledgers therefore sum **exactly** to the machine's
+global ledger (``MultiTenantResult.verify_counter_sums``) and equal the
+sum of each tenant's per-turn deltas.
 
 Single-tenant parity: one tenant with ``arrival=0`` replays bit-identically
 (ledger and cache state) to ``simulate(mm, trace, warmup=...)`` — ASID 0
@@ -26,6 +34,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from ..core import CostLedger
 from ..mmu import MemoryManagementAlgorithm
@@ -166,19 +176,22 @@ class MultiTenantSim:
         migration), so every translation cached for its slice goes stale
         and the slice is shot down with reason ``"phi-change"``. Like all
         shootdowns here the flush itself is ledger-free — its price is the
-        TLB refill misses the tenant pays on its next turns, attributed to
-        that tenant by the usual delta accounting.
+        TLB refill misses the tenant pays on its next turns, credited to
+        that tenant by the usual per-access accounting.
     validate:
         Run under the :mod:`repro.check` invariant oracle: every access
-        audited, plus per-quantum ASID-isolation and per-exit
-        ASID-coverage checks. Costs are unchanged.
+        audited, plus per-turn ASID-isolation and per-shootdown
+        ASID-coverage checks. Every turn then runs on its own, so the
+        oracle's end-of-``run`` deep sweep still fires once per turn.
+        Costs are unchanged.
     deep_every:
         Oracle deep-sweep cadence (with ``validate=True``).
     engine:
         Simulation engine override (``"object"`` / ``"array"``; ``None``
         keeps ``mm.engine``). Engines are bit-identical, so either may
-        serve a multi-tenant run; engines without ASID-aware batch kernels
-        silently fall back per ``run``'s own contract.
+        serve a multi-tenant run: the array engine takes each span as one
+        segment, and algorithms without a batch handler replay it on the
+        object engine per ``run``'s own contract.
     attrib:
         An :class:`~repro.obs.AttributionProbe` to observe the shared
         machine (``None`` = no attribution). The sim binds the probe to
@@ -264,7 +277,13 @@ class MultiTenantSim:
         return dropped
 
     def run(self) -> MultiTenantResult:
-        """Drive every tenant to completion; one result, fully attributed."""
+        """Drive every tenant to completion; one result, fully attributed.
+
+        Turns are buffered and run as one ``mm.run`` of their ASID-striped
+        concatenation just before each counter reset and each shootdown
+        (under validation, after every turn), with the tenants' ledgers
+        bound as the machine's per-ASID credit ledgers.
+        """
         if self._ran:
             raise RuntimeError(
                 "MultiTenantSim.run() already consumed its tenant streams; "
@@ -280,74 +299,82 @@ class MultiTenantSim:
         switches = 0
         turns = 0
         last_asid: int | None = None
-
-        while live:
-            clock = self._clock
-            runnable = sorted(
-                a for a in live if tenants[a].arrival <= clock and not tenants[a].done
-            )
-            if not runnable:
-                # idle gap: jump to the next arrival (no accesses issued)
-                clock = min(
-                    tenants[a].arrival for a in live if tenants[a].arrival > clock
+        pending: list[np.ndarray] = []  # ASID-striped turns not yet run
+        mm.asid_ledgers = [t.ledger for t in tenants]
+        try:
+            while live:
+                clock = self._clock
+                runnable = sorted(
+                    a for a in live if tenants[a].arrival <= clock and not tenants[a].done
                 )
-                self._clock = clock
-                if not warmed and clock >= self.warmup:
-                    warmed = self._reset_counters()
-                continue
-            asid, q = scheduler.pick(runnable, clock)
-            if asid not in runnable:
-                raise RuntimeError(
-                    f"{scheduler.name} picked asid {asid} outside the "
-                    f"runnable set {runnable}"
-                )
-            tenant = tenants[asid]
-            if not warmed:
-                q = min(q, self.warmup - clock)  # land exactly on the boundary
-            chunk = tenant.take(q)
-            if self._oracle is not None:
-                self._oracle.check_asid_isolation(self.stride, asid, chunk)
-            before = mm.ledger.snapshot()
-            mm.run_asid(asid, chunk)
-            after = mm.ledger.snapshot()
-            for name, b, a in zip(_COUNTERS, before, after):
-                setattr(tenant.ledger, name, getattr(tenant.ledger, name) + a - b)
-            self._clock = clock = clock + len(chunk)
-            turns += 1
-            turns_of[asid] += 1
-            if last_asid is not None and asid != last_asid:
-                switches += 1
-            last_asid = asid
-            if not warmed and clock >= self.warmup:
-                warmed = self._reset_counters()
-            if (
-                self.remap_every is not None
-                and not tenant.done
-                and turns_of[asid] % self.remap_every == 0
-            ):
-                # the OS relocated this tenant's pages (φ remap —
-                # compaction/migration), so every translation cached for
-                # its slice is stale: shoot the slice down. ψ-side state
-                # survives, so refills decode the post-remap frames; the
-                # remap's price is exactly those refill misses.
-                self.shootdown_tenant(asid, reason="phi-change")
-                if self._oracle is not None:
-                    # the remap guarantee: nothing of the remapped slice
-                    # survives the flush
-                    self._oracle.check_asid_coverage(
-                        self.stride, live - {asid}, t=clock
+                if not runnable:
+                    # idle gap: jump to the next arrival (no accesses issued)
+                    clock = min(
+                        tenants[a].arrival for a in live if tenants[a].arrival > clock
                     )
-            if tenant.done:
-                live.discard(asid)
-                finished_at[asid] = clock
-                if self.shootdown_on_exit:
-                    self.shootdown_tenant(asid, reason="exit")
+                    self._clock = clock
+                    if not warmed and clock >= self.warmup:
+                        self._flush(pending)
+                        warmed = self._reset_counters()
+                    continue
+                asid, q = scheduler.pick(runnable, clock)
+                if asid not in runnable:
+                    raise RuntimeError(
+                        f"{scheduler.name} picked asid {asid} outside the "
+                        f"runnable set {runnable}"
+                    )
+                tenant = tenants[asid]
+                if not warmed:
+                    q = min(q, self.warmup - clock)  # land exactly on the boundary
+                chunk = tenant.take(q)
+                pending.append(chunk + asid * self.stride)
+                if self._oracle is not None:
+                    self._oracle.check_asid_isolation(self.stride, asid, chunk)
+                    # the oracle deep-sweeps at the end of every run call:
+                    # keep that sweep once per turn
+                    self._flush(pending)
+                self._clock = clock = clock + len(chunk)
+                turns += 1
+                turns_of[asid] += 1
+                if last_asid is not None and asid != last_asid:
+                    switches += 1
+                last_asid = asid
+                if not warmed and clock >= self.warmup:
+                    self._flush(pending)
+                    warmed = self._reset_counters()
+                if (
+                    self.remap_every is not None
+                    and not tenant.done
+                    and turns_of[asid] % self.remap_every == 0
+                ):
+                    # the OS relocated this tenant's pages (φ remap —
+                    # compaction/migration), so every translation cached for
+                    # its slice is stale: shoot the slice down. ψ-side state
+                    # survives, so refills decode the post-remap frames; the
+                    # remap's price is exactly those refill misses.
+                    self._flush(pending)
+                    self.shootdown_tenant(asid, reason="phi-change")
                     if self._oracle is not None:
-                        # the exit guarantee: nothing of the dead slice
-                        # survives, and no unit straddles a slice boundary
+                        # the remap guarantee: nothing of the remapped slice
+                        # survives the flush
                         self._oracle.check_asid_coverage(
-                            self.stride, live, t=clock
+                            self.stride, live - {asid}, t=clock
                         )
+                if tenant.done:
+                    live.discard(asid)
+                    finished_at[asid] = clock
+                    if self.shootdown_on_exit:
+                        self._flush(pending)
+                        self.shootdown_tenant(asid, reason="exit")
+                        if self._oracle is not None:
+                            # the exit guarantee: nothing of the dead slice
+                            # survives, and no unit straddles a slice boundary
+                            self._oracle.check_asid_coverage(
+                                self.stride, live, t=clock
+                            )
+            self._flush(pending)
+        finally:
+            mm.asid_ledgers = None
 
         drops_of: list[dict] = [{} for _ in tenants]
         for event in self._shootdowns:
@@ -376,6 +403,14 @@ class MultiTenantSim:
             stride=self.stride,
             shootdowns=self._shootdowns,
         )
+
+    def _flush(self, pending: list[np.ndarray]) -> None:
+        """Run the buffered turns as one ``mm.run`` of their concatenation
+        (shootdowns are free, so between two of them the machine serves
+        one ASID-striped stream)."""
+        if pending:
+            self.mm.run(pending[0] if len(pending) == 1 else np.concatenate(pending))
+            pending.clear()
 
     def _reset_counters(self) -> bool:
         """The warm-up/measure boundary: machine-wide and per-tenant counter

@@ -25,6 +25,7 @@ from ..obs.attribution import AttributionProbe
 from ..obs.snapshot import ObsSnapshot
 from ..sim.parallel import run_callables, spawn_seeds
 from ..workloads import UniformWorkload, ZipfWorkload
+from .scheduler import Scheduler, make_scheduler
 from .sim import MultiTenantSim, MultiTenantResult
 from .tenant import Tenant
 
@@ -105,6 +106,16 @@ def build_tenants(spec: TenancyCellSpec) -> list[Tenant]:
     return tenants
 
 
+def _build_scheduler(spec: TenancyCellSpec) -> Scheduler:
+    """The cell's scheduler. A jittered one draws its quanta from the
+    spec's seed tree (the child after the tenants' streams), so the cell
+    stays deterministic in ``spec.seed`` alone."""
+    if spec.scheduler == "jittered":
+        seed = spawn_seeds(spec.seed, spec.tenants + 1)[-1]
+        return make_scheduler(spec.scheduler, spec.quantum, seed=seed)
+    return make_scheduler(spec.scheduler, spec.quantum)
+
+
 def run_tenancy_cell(
     spec: TenancyCellSpec, *, epsilon: float = 0.01
 ) -> tuple[dict, ObsSnapshot]:
@@ -123,8 +134,7 @@ def run_tenancy_cell(
     sim = MultiTenantSim(
         mm,
         build_tenants(spec),
-        spec.scheduler,
-        quantum=spec.quantum,
+        _build_scheduler(spec),
         warmup=spec.warmup,
         remap_every=spec.remap_every,
         validate=spec.validate,

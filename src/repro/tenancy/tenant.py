@@ -88,8 +88,10 @@ class Tenant:
         self.accesses = check_positive_int(accesses, "accesses")
         self._trace: np.ndarray | None = trace
         self._pos = 0
-        #: this tenant's slice of the shared machine's costs, maintained by
-        #: the multi-tenant driver (counter deltas of its own quanta).
+        #: this tenant's slice of the shared machine's costs: while the
+        #: multi-tenant simulator runs, the machine credits every access of
+        #: this tenant's ASID here (see ``asid_ledgers`` in
+        #: :class:`~repro.mmu.base.MemoryManagementAlgorithm`).
         self.ledger = CostLedger()
 
     # ---------------------------------------------------------------- stream

@@ -67,15 +67,17 @@ class TestBenchHotloop:
             f"cache:{p}" for p in sorted(POLICIES)
         ]
         quantum = f"@q{small_config['quantum']}"
+        tenants = f"@t{small_config['tenants']}"
         assert [n for n in names if n.startswith("mm:")] == [
             f"mm:{m}" for m in MM_NAMES
         ] + [f"mm:{m}+fail" for m in sorted(FAILURE_MMS)] + [
             f"mm:{m}{quantum}" for m in ARRAY_MMS
-        ]
+        ] + [f"mm:{m}{tenants}" for m in MM_NAMES]
         assert sorted(n for n in names if n.startswith("mm@object:")) == sorted(
             [f"mm@object:{m}" for m in SAMPLED_MMS]
             + [f"mm@object:{m}+fail" for m in FAILURE_MMS]
             + [f"mm@object:{m}{quantum}" for m in ARRAY_MMS]
+            + [f"mm@object:{m}{tenants}" for m in MM_NAMES]
         )
         assert sorted(n for n in names if n.startswith("mm+sampled:")) == [
             f"mm+sampled:{m}" for m in sorted(SAMPLED_MMS)
@@ -151,6 +153,21 @@ class TestBenchHotloop:
             twin = by[f"mm@object:{name}@q{small_config['quantum']}"]
             assert plain["ops"] == twin["ops"] == timed, name
             assert plain["counters"]["accesses"] == timed, name
+            assert plain["counters"] == twin["counters"], name
+
+    def test_tenant_rows_run_the_whole_trace_on_both_engines(self, small_config):
+        """The ``@t<tenants>`` rows replay the preset trace as equal
+        tenant streams through a multi-tenant sim; the engines must agree
+        and every access is counted (no warm-up)."""
+        rows, _ = bench_hotloop()
+        by = {r["component"]: r for r in rows}
+        k = small_config["tenants"]
+        total = small_config["mm_accesses"] // k * k
+        for name in MM_NAMES:
+            plain = by[f"mm:{name}@t{k}"]
+            twin = by[f"mm@object:{name}@t{k}"]
+            assert plain["ops"] == twin["ops"] == total, name
+            assert plain["counters"]["accesses"] == total, name
             assert plain["counters"] == twin["counters"], name
 
     def test_seed_override_recorded_in_config(self, small_config):

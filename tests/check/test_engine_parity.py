@@ -11,8 +11,8 @@ it can face).
 The multi-tenant goldens (``tests/tenancy/goldens.py``) extend the same
 pinning to ASID-striped runs: the object engine must reproduce the
 committed stream row for row, and the array engine must accept every
-per-quantum segment of these schedules, land on exactly the golden
-totals, and end in the object engine's deep state.
+span segment of these schedules, land on exactly the golden totals, and
+end in the object engine's deep state.
 """
 
 import pytest
@@ -89,18 +89,31 @@ class TestMultiTenantEngineParity:
         tap = StreamTap()
         sim.mm.probe = tap
         try:
-            sim.run()
+            result = sim.run()
         finally:
             sim.mm.probe = NULL_PROBE
         div = first_divergence(tap.as_tuples(), golden_rows)
         assert div is None, f"{algorithm}/t{k}: {div.describe()}"
+        # the per-access replay credits every tenant exactly the golden
+        # rows of its own slice
+        result.verify_counter_sums()
+        for record in result.records:
+            totals = golden_totals(
+                [row for row in golden_rows if row[1] // result.stride == record.asid]
+            )
+            ledger = record.ledger
+            assert totals["accesses"] > 0, record.name
+            assert ledger.accesses == totals["accesses"], record.name
+            assert ledger.tlb_misses == totals["tlb_misses"], record.name
+            assert ledger.ios == totals["ios"], record.name
+            assert ledger.decoding_misses == totals["decoding_misses"], record.name
 
     def test_array_engine_falls_back_to_golden_totals(
         self, algorithm, k, path, monkeypatch
     ):
         # no probe here: an attached tap would itself force the object
-        # path. Every per-quantum segment must be accepted — a handler
-        # that silently declines short warm segments fails here, even
+        # path. Every span segment must be accepted — a handler that
+        # silently declines warm multi-tenant segments fails here, even
         # though the object fallback would still land on the totals.
         _, golden_rows = load_golden(path)
         totals = golden_totals(golden_rows)

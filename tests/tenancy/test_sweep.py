@@ -1,8 +1,16 @@
 """Tenancy sweep grid: determinism across jobs, spec validation, rows."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.tenancy import TenancyCellSpec, run_tenancy_cell, run_tenancy_grid
+from repro.tenancy import (
+    TenancyCellSpec,
+    build_tenants,
+    run_tenancy_cell,
+    run_tenancy_grid,
+)
 
 SPECS = [
     TenancyCellSpec(
@@ -41,8 +49,6 @@ class TestCell:
         assert snap.meta["runs"] == 3  # one per tenant
 
     def test_validated_cell_matches_plain_cell(self):
-        import dataclasses
-
         plain, _ = run_tenancy_cell(SPECS[2])
         checked, _ = run_tenancy_cell(
             dataclasses.replace(SPECS[2], validate=True)
@@ -72,3 +78,30 @@ class TestGrid:
         assert dec["tlb_misses"] < base["tlb_misses"]
         assert dec["ios"] <= base["ios"] * 1.05  # no amplification blow-up
         assert phys["ios"] > dec["ios"]  # physical pays page-fault amplification
+
+
+JITTERED = [dataclasses.replace(spec, scheduler="jittered") for spec in SPECS]
+
+
+class TestJitteredDeterminism:
+    """A jittered cell draws its quanta from ``spec.seed`` alone."""
+
+    def test_same_spec_same_rows(self):
+        row_a, snap_a = run_tenancy_cell(JITTERED[0])
+        row_b, snap_b = run_tenancy_cell(JITTERED[0])
+        assert row_a == row_b
+        assert snap_a == snap_b
+        # the quanta really are jittered: more, shorter turns
+        plain, _ = run_tenancy_cell(SPECS[0])
+        assert row_a["turns"] > plain["turns"]
+
+    def test_jobs_parity(self):
+        rows1, snap1 = run_tenancy_grid(JITTERED, jobs=1)
+        rows2, snap2 = run_tenancy_grid(JITTERED, jobs=2)
+        assert rows1 == rows2
+        assert snap1 == snap2
+
+    def test_tenant_streams_do_not_depend_on_the_scheduler(self):
+        # the scheduler's seed is an extra spawned child of spec.seed
+        for a, b in zip(build_tenants(SPECS[0]), build_tenants(JITTERED[0])):
+            assert np.array_equal(a.trace, b.trace)
