@@ -356,6 +356,9 @@ class ValidatingMM(MemoryManagementAlgorithm):
         if isinstance(inner, ValidatingMM):
             raise TypeError("refusing to validate a ValidatingMM (already validated)")
         super().__init__()
+        # every request replays through access() under the oracle, which
+        # no batch handler can do: the wrapper itself is object-only
+        self.engine = "object"
         self.inner = inner
         self.name = f"validated:{inner.name}"
         self.ledger = inner.ledger  # shared: identical costs, one source of truth

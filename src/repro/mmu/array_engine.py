@@ -1,10 +1,18 @@
-"""Struct-of-arrays batch simulation engine.
+"""Struct-of-arrays batch simulation engine, the default (``engine="array"``).
 
 The object engine replays traces access by access through ``PageCache`` /
 ``TLB`` objects; this module replays whole trace segments as numpy array
 passes and synchronizes the object state once per segment, so counters,
 replacement order, and clocks come out bit-identical to the object engine
 (CI's engine-parity job enforces this on the golden streams).
+
+Which engine serves a segment is decided per segment from one table,
+:data:`_LIMITS`, which gives each handled class a floor and a ceiling.
+:meth:`~repro.mmu.base.MemoryManagementAlgorithm.run` keeps a segment
+shorter than the floor on the object engine, where a short call is
+cheaper; :func:`try_run` has no floor and serves a segment longer than
+the ceiling as equal pieces no longer than it, so a call's time and
+memory grow linearly with its length.
 
 The core identity: an LRU cache of capacity ``C`` hits access ``i`` iff
 the *stack distance* — the number of distinct keys strictly between the
@@ -36,7 +44,7 @@ and death positions sorted ascending are exactly the eviction sequence —
 so schemes with eviction side effects (write-back flushes, decoupled
 allocator frees) replay only their rare events through the object code.
 
-A call costs O(segment + evictions), not O(resident set): a warm cache
+A piece costs O(piece + evictions), not O(resident set): a warm cache
 enters a kernel as a window of its LRU order (:func:`_warm_window`), and
 the object state leaves it through one incremental step
 (:meth:`StreamKernel.order_delta`), exact after every call.
@@ -75,7 +83,7 @@ from .hybrid import HybridMM
 from .virtualized import NestedTranslationMM
 from .writeback import WritebackHugePageMM
 
-__all__ = ["StreamKernel", "try_run", "supports"]
+__all__ = ["StreamKernel", "supports", "try_run"]
 
 # Tuning knobs (speed only; every path is exact).  Streams whose
 # ambiguous set after pruning exceeds _DENSE_AMB get the sliding-window
@@ -553,8 +561,9 @@ def _paged_fold(mm, trace: np.ndarray) -> tuple[StreamKernel, int, StreamKernel,
     tp, tC = _warm_window(mm.tlb.policy._order, hpns, mm.tlb.capacity)
     rp, rC = _warm_window(mm.ram.policy._order, hpns, mm.ram.capacity)
     kern_t = StreamKernel(hpns, tp)
-    # bench configs give TLB and RAM equal capacity: one kernel, one pass
-    kern_r = kern_t if tC == rC and tp == rp else StreamKernel(hpns, rp)
+    # equal warm prefixes (every cold piece among them) share one kernel:
+    # its hit masks are cached per capacity
+    kern_r = kern_t if tp == rp else StreamKernel(hpns, rp)
     _fold_counts(
         mm, trace, kern_t.hit_mask(tC)[kern_t.R :], kern_r.hit_mask(rC)[kern_r.R :], h
     )
@@ -796,6 +805,26 @@ _HANDLERS = {
     HybridMM: _run_hybrid,
 }
 
+#: ``(floor, ceiling)`` segment lengths per handled class, in accesses.
+#: ``run()`` sends a segment shorter than the floor to the object engine,
+#: which is faster there (a call's kernels, warm window and sync cost a
+#: fixed overhead); :func:`try_run` serves a segment longer than the
+#: ceiling as equal pieces no longer than it (a kernel's dominance grid
+#: grows with the square of its length).  The decoupled schemes get a
+#: higher ceiling because ``DecouplingScheme.apply_events`` folds each
+#: page's ψ state once per call.  Floors fitted on warm calls of 64 to
+#: 25,000 accesses and on 8-tenant span replays (the hotloop ``@t8`` rows).
+#: Keyed like :data:`_HANDLERS` (a unit test holds the two to the same
+#: classes).
+_LIMITS = {
+    BasePageMM: (4096, 1 << 14),
+    PhysicalHugePageMM: (2048, 1 << 14),
+    WritebackHugePageMM: (1024, 1 << 14),
+    NestedTranslationMM: (128, 1 << 14),
+    DecoupledMM: (512, 1 << 17),
+    HybridMM: (256, 1 << 17),
+}
+
 
 def supports(mm) -> bool:
     """True if *mm*'s exact type has a batch handler at all (the handler
@@ -804,15 +833,18 @@ def supports(mm) -> bool:
 
 
 def try_run(mm, trace):
-    """Run one segment of *trace* through the batch engine.
+    """Run one segment of *trace* through the batch engine, at any length.
 
-    Returns the number of leading accesses served — the whole segment,
-    or, after a paging failure, the accesses through the failing one —
-    or ``None`` meaning "use the object engine": no handler for *mm*'s
-    exact class, eviction provenance outside the hugepage family, a
-    non-LRU policy, or scheme state the batch replay can't honor
-    (pre-existing paging failures). Finishing a segment on the object
-    engine, probe dispatch and ``on_batch`` flushes are
+    A segment longer than the class's ceiling (:data:`_LIMITS`) is served
+    as equal pieces, each no longer than the ceiling, one handler call
+    apiece.  Returns the number of leading accesses served — the whole
+    segment, or, after a paging failure in any piece, the accesses
+    through the failing one, or the pieces served before a handler
+    declined — or ``None`` meaning "use the object engine": no handler
+    for *mm*'s exact class, eviction provenance outside the hugepage
+    family, a non-LRU policy, or scheme state the batch replay can't
+    honor (pre-existing paging failures). The floor, finishing a segment
+    on the object engine, probe dispatch and ``on_batch`` flushes are
     :meth:`~repro.mmu.base.MemoryManagementAlgorithm.run`'s job.
     """
     handler = _HANDLERS.get(type(mm))
@@ -827,6 +859,16 @@ def try_run(mm, trace):
     arr = np.asarray(trace)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
         arr = np.asarray([int(x) for x in trace], dtype=np.int64)
-    if arr.size == 0:
-        return 0
-    return handler(mm, arr.astype(np.int64, copy=False))
+    arr = arr.astype(np.int64, copy=False)
+    n = arr.size
+    pieces = -(-n // _LIMITS[type(mm)][1])
+    done = 0
+    for k in range(pieces):
+        piece = arr[k * n // pieces : (k + 1) * n // pieces]
+        served = handler(mm, piece)
+        if served is None:
+            return done or None
+        done += served
+        if served < piece.size:
+            break  # a paging failure: run() finishes on the object engine
+    return done

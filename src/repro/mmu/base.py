@@ -14,8 +14,9 @@ instrumented loop deriving typed events (``access``, ``tlb_miss``, ``io``,
 ``eviction``, ``decoding_miss``) from per-access ledger deltas, so all
 algorithms are observable without touching their ``access``
 implementations; everything else replays segment by segment through the
-array engine or the class's ``_run_batch`` hook, with one ``on_batch``
-flush per segment when a batch-safe probe is attached.
+array engine (the default, for segments at least as long as the class's
+floor) or the class's ``_run_batch`` hook, with one ``on_batch`` flush
+per segment when a batch-safe probe is attached.
 
 **ASID access contract.** Multi-tenant simulation (:mod:`repro.tenancy`)
 shares one algorithm instance between address spaces. The contract is
@@ -155,12 +156,14 @@ class MemoryManagementAlgorithm(ABC):
 
     def __init__(self) -> None:
         self.ledger = CostLedger()
-        #: simulation engine: ``"object"`` replays access by access,
-        #: ``"array"`` tries the struct-of-arrays batch engine first
-        #: (:mod:`repro.mmu.array_engine`) and falls back to the object
-        #: replay when no batch handler applies (no handler for the exact
-        #: class, non-LRU policy, pending paging failures).
-        self.engine: str = "object"
+        #: simulation engine: ``"array"`` (the default) offers each
+        #: segment at least as long as the class's floor to the
+        #: struct-of-arrays batch engine (:mod:`repro.mmu.array_engine`)
+        #: and replays the rest on the object engine, as it does whatever
+        #: no batch handler takes (no handler for the exact class, non-LRU
+        #: policy, pending paging failures); ``"object"`` replays every
+        #: segment on the object engine, the reference parity tests force.
+        self.engine: str = "array"
         #: observer of this algorithm's events; NULL_PROBE means unobserved.
         self.probe: Probe = NULL_PROBE
         #: extra-counter defaults re-seeded after every reset_stats();
@@ -287,13 +290,15 @@ class MemoryManagementAlgorithm(ABC):
         The one dispatch point. A probe that is not batch-safe gets the
         per-access event replay (:meth:`_run_probed`). Otherwise the trace
         is one segment — or ``batch_interval``-access segments for a live
-        probe — and each segment runs on the array engine when
-        ``engine == "array"`` and a handler accepts it, else through
-        :meth:`_run_batch`; an array-engine bailout (a paging failure)
-        hands the rest of its segment to :meth:`_run_batch`. An attached
-        probe receives exactly one ``on_batch`` flush per segment. With
-        :attr:`asid_ledgers` bound, the array engine credits them per
-        access and the object paths per same-ASID stretch
+        probe. With ``engine == "array"``, a segment at least as long as
+        its class's floor (``array_engine._LIMITS``) goes to the array
+        engine, which serves it in pieces no longer than the class's
+        ceiling; a shorter one, or one no handler accepts, runs through
+        :meth:`_run_batch`, and an array-engine bailout (a paging failure
+        in any piece) hands the rest of its segment to :meth:`_run_batch`.
+        An attached probe receives exactly one ``on_batch`` flush per
+        segment. With :attr:`asid_ledgers` bound, the array engine credits
+        them per access and the object paths per same-ASID stretch
         (:meth:`_replay_credited`). Counters and deep state are
         bit-identical on every path.
         """
@@ -307,18 +312,22 @@ class MemoryManagementAlgorithm(ABC):
             segments = (trace,)
         else:
             segments = (trace[i : i + interval] for i in range(0, len(trace), interval))
+        engine = None
         if self.engine == "array":
             # imported here: its handler table imports the algorithm
             # classes, which import this module
             from . import array_engine as engine
-        else:
-            engine = None
+
+            # a class without a handler gets floor 0: try_run declines it
+            floor = engine._LIMITS.get(type(self), (0,))[0]
         ledger = self.ledger
         for segment in segments:
             if observed:
                 t0 = ledger.accesses
                 before = ledger.snapshot()
-            done = 0 if engine is None else (engine.try_run(self, segment) or 0)
+            done = 0
+            if engine is not None and len(segment) >= floor:
+                done = engine.try_run(self, segment) or 0
             if done < len(segment):
                 self._replay_credited(
                     self._run_batch, segment[done:] if done else segment

@@ -91,14 +91,16 @@ ENGINES: tuple[str, ...] = ("object", "array")
 
 
 def make_mm(
-    name: str, tlb_entries: int, ram_pages: int, *, seed=None, engine: str = "object"
+    name: str, tlb_entries: int, ram_pages: int, *, seed=None, engine: str = "array"
 ) -> MemoryManagementAlgorithm:
     """Build the registered algorithm *name* with registry defaults.
 
-    ``engine="array"`` selects the struct-of-arrays batch engine
-    (:mod:`repro.mmu.array_engine`); algorithms or probes it cannot batch
-    fall back to the object replay per ``run`` call, with identical
-    counters and cache state either way.
+    The default ``engine="array"`` runs each segment long enough for the
+    struct-of-arrays batch engine (:mod:`repro.mmu.array_engine`) there;
+    short segments, and algorithms or probes it cannot batch, replay on
+    the object engine, with identical counters and cache state either
+    way. ``engine="object"`` replays everything on the object engine, the
+    reference the parity tests compare against.
     """
     try:
         builder = MM_BUILDERS[name]
@@ -116,7 +118,7 @@ def make_mm(
 
 
 def mm_factory(
-    name: str, tlb_entries: int, ram_pages: int, *, seed=None, engine: str = "object"
+    name: str, tlb_entries: int, ram_pages: int, *, seed=None, engine: str = "array"
 ):
     """Picklable zero-arg factory for *name* (for :class:`~repro.sim.SimTask`)."""
     if name not in MM_BUILDERS:

@@ -105,7 +105,8 @@ class SimTask:
     #: ``validate=True``).
     deep_every: int | None = None
     #: simulation engine for this cell (``None`` keeps the factory-built
-    #: algorithm's own ``engine``; see :func:`repro.sim.simulate`).
+    #: algorithm's own ``engine``, the array engine unless the factory
+    #: chose otherwise; see :func:`repro.sim.simulate`).
     engine: str | None = None
 
 

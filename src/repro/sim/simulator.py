@@ -54,9 +54,10 @@ def simulate(
     """Replay *trace* through *mm*; counters reset after *warmup* accesses.
 
     *engine* overrides the algorithm's simulation engine for this call and
-    beyond (``"object"`` or ``"array"``; ``None`` keeps ``mm.engine``).
-    The array engine batch-replays supported algorithms and falls back to
-    the object replay otherwise — costs and cache state are identical, so
+    beyond (``"object"`` or ``"array"``; ``None`` keeps ``mm.engine``, the
+    array engine unless the MM was built otherwise). The array engine
+    batch-replays supported algorithms and falls back to the object
+    replay otherwise — costs and cache state are identical, so
     probes, metrics, and validation compose with either engine (per-access
     probes and the invariant oracle force the object path by design).
 
@@ -150,7 +151,8 @@ def sweep_huge_page_sizes(
     """Run the Section 6 experiment: one physical-huge-page simulation per
     huge-page size, all on the same trace.
 
-    Returns one :class:`~repro.sim.stats.RunRecord` per size with
+    Each cell's MM keeps the default engine, the array engine. Returns one
+    :class:`~repro.sim.stats.RunRecord` per size with
     ``params={"h": size, "elapsed_s": ..., "accesses_per_s": ...}`` — the
     two Figure 1 series are ``[r.ios for r in records]`` and
     ``[r.tlb_misses for r in records]``.

@@ -188,10 +188,11 @@ class MultiTenantSim:
         Oracle deep-sweep cadence (with ``validate=True``).
     engine:
         Simulation engine override (``"object"`` / ``"array"``; ``None``
-        keeps ``mm.engine``). Engines are bit-identical, so either may
-        serve a multi-tenant run: the array engine takes each span as one
-        segment, and algorithms without a batch handler replay it on the
-        object engine per ``run``'s own contract.
+        keeps ``mm.engine``, the array engine by default). Engines are
+        bit-identical, so either may serve a multi-tenant run: the array
+        engine takes each span as one segment, and spans shorter than the
+        class's floor, or of algorithms without a batch handler, replay on
+        the object engine per ``run``'s own contract.
     attrib:
         An :class:`~repro.obs.AttributionProbe` to observe the shared
         machine (``None`` = no attribution). The sim binds the probe to
@@ -356,9 +357,11 @@ class MultiTenantSim:
                     self.shootdown_tenant(asid, reason="phi-change")
                     if self._oracle is not None:
                         # the remap guarantee: nothing of the remapped slice
-                        # survives the flush
+                        # survives the flush (exited slices keep their
+                        # entries when exits do not shoot down)
+                        allowed = live if self.shootdown_on_exit else range(len(tenants))
                         self._oracle.check_asid_coverage(
-                            self.stride, live - {asid}, t=clock
+                            self.stride, set(allowed) - {asid}, t=clock
                         )
                 if tenant.done:
                     live.discard(asid)

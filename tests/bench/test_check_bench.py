@@ -450,3 +450,115 @@ class TestFailureRowGate:
         code, messages = check_bench.compare(copy.deepcopy(new), new)
         assert code == check_bench.MISMATCH
         assert any("no paging_failures" in m for m in messages)
+
+
+def _engine_pair_payload(ratio=1.0, **ratios):
+    """A hotloop payload of engine-twin pairs whose array row runs at the
+    given ratio of its object twin's throughput: ``mm:base-page@q64`` at
+    *ratio*, and one more pair per keyword (``hybrid_q64=0.8`` adds
+    ``mm:hybrid@q64`` at 0.8; ``decoupled=2.0`` ``mm:decoupled``)."""
+    payload = _hotloop_payload()
+    counters = {"accesses": 1000, "ios": 40, "tlb_hits": 800, "tlb_misses": 200}
+    ratios = {"base-page@q64": ratio} | {
+        key.replace("_q", "@q").replace("_t", "@t").replace("_", "-"): value
+        for key, value in ratios.items()
+    }
+    for name, value in ratios.items():
+        payload["rows"] += [
+            {
+                "component": f"mm:{name}",
+                "ops": 1000,
+                "ops_per_s": 300_000.0 * value,
+                "counters": dict(counters),
+            },
+            {
+                "component": f"mm@object:{name}",
+                "ops": 1000,
+                "ops_per_s": 300_000.0,
+                "counters": dict(counters),
+            },
+        ]
+    return payload
+
+
+class TestEngineRatioGate:
+    """The within-payload array-vs-object throughput gate (new run only),
+    a geomean per row family."""
+
+    def test_array_row_at_parity_passes(self):
+        code, messages = check_bench.compare(
+            _engine_pair_payload(0.9), _engine_pair_payload(0.9)
+        )
+        assert code == check_bench.OK
+        assert (
+            "ok: array engine @q throughput: 90.0% of object across 1 twin(s), "
+            "slowest mm:base-page@q64 at 90% (floor 75%)"
+        ) in messages
+
+    def test_slow_array_family_is_a_regression(self):
+        # the baseline's own pairs are not gated — only the new run's
+        code, messages = check_bench.compare(
+            _engine_pair_payload(0.26, hybrid_q64=0.26),
+            _engine_pair_payload(0.7, hybrid_q64=0.8),
+        )
+        assert code == check_bench.REGRESSION
+        assert any(
+            m.startswith(
+                "FAIL array engine @q throughput: 74.8% of object across "
+                "2 twin(s), slowest mm:base-page@q64 at 70%"
+            )
+            for m in messages
+        )
+
+    def test_one_slow_row_is_absorbed_by_its_family(self):
+        # per-row noise: a row below the floor passes when its family's
+        # geomean clears it
+        code, messages = check_bench.compare(
+            _engine_pair_payload(hybrid_q64=1.0),
+            _engine_pair_payload(0.7, hybrid_q64=0.9),
+        )
+        assert code == check_bench.OK
+        assert any(m.startswith("ok: array engine @q throughput: 79.4%") for m in messages)
+
+    def test_families_are_gated_apart(self):
+        # fast whole-trace rows cannot carry a slow short-call family
+        new = _engine_pair_payload(0.5, decoupled=4.0, hybrid_t8=0.6)
+        code, messages = check_bench.compare(
+            _engine_pair_payload(decoupled=1.0, hybrid_t8=1.0), new
+        )
+        assert code == check_bench.REGRESSION
+        verdicts = sorted(m.split(" throughput")[0] for m in messages if "array engine" in m)
+        assert verdicts == [
+            "FAIL array engine @q",
+            "FAIL array engine @t",
+            "ok: array engine whole-trace",
+        ]
+
+    def test_row_families(self):
+        family = check_bench._engine_family
+        assert family("mm:physical-huge") == "whole-trace"
+        assert family("mm:decoupled+fail") == "+fail"
+        assert family("mm:physical-huge+wb@q64") == "@q"
+        assert family("mm:thp@t8") == "@t"
+
+    def test_floor_is_inclusive(self):
+        code, _ = check_bench.compare(
+            _engine_pair_payload(), _engine_pair_payload(0.75)
+        )
+        assert code == check_bench.OK
+
+    def test_engine_tolerance_cli_flag(self, tmp_path):
+        base = tmp_path / "base.json"
+        slow = tmp_path / "slow.json"
+        base.write_text(json.dumps(_engine_pair_payload()))
+        slow.write_text(json.dumps(_engine_pair_payload(0.5)))
+        args = [str(base), str(slow)]
+        assert check_bench.main(args) == check_bench.REGRESSION
+        assert check_bench.main(args + ["--engine-tolerance", "0.6"]) == check_bench.OK
+
+    def test_counter_divergence_outranks_the_ratio(self):
+        new = _engine_pair_payload(0.5)
+        new["rows"][-1]["counters"]["ios"] += 1
+        code, messages = check_bench.compare(_engine_pair_payload(), new)
+        assert code == check_bench.MISMATCH
+        assert any(m.startswith("FAIL mm@object:base-page@q64:") for m in messages)

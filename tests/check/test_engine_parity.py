@@ -13,6 +13,12 @@ pinning to ASID-striped runs: the object engine must reproduce the
 committed stream row for row, and the array engine must accept every
 span segment of these schedules, land on exactly the golden totals, and
 end in the object engine's deep state.
+
+The golden segments are shorter than most classes' floors, below which
+``run()`` keeps a segment on the object engine; every array side here
+lifts the floors (the ``engine_calls`` fixture) and asserts that the
+engine served its segments, so no test compares the object engine with
+itself.
 """
 
 import pytest
@@ -25,14 +31,14 @@ from repro.check import (
     load_golden,
     record_stream,
 )
-from repro.mmu import array_engine
 from repro.mmu.registry import make_mm
 from repro.obs import NULL_PROBE
 
-from ..mmu.test_array_engine import _state_sig
+from ..mmu.test_array_engine import _assert_served_whole, _state_sig
 from ..tenancy.goldens import build_sim
 from ..tenancy.goldens import golden_cases as mt_golden_cases
 from .goldens import (
+    FAIL_ACCESSES,
     RAM_PAGES,
     SEED,
     TLB_ENTRIES,
@@ -50,7 +56,7 @@ CASE_IDS = [f"{algorithm}-{workload}" for algorithm, workload, _ in CASES]
 
 @pytest.mark.parametrize(("algorithm", "workload", "path"), CASES, ids=CASE_IDS)
 class TestEngineParity:
-    def test_engines_agree_on_full_ledger(self, algorithm, workload, path):
+    def test_engines_agree_on_full_ledger(self, algorithm, workload, path, engine_calls):
         def factory():
             return make_mm(algorithm, TLB_ENTRIES, RAM_PAGES, seed=SEED)
 
@@ -60,8 +66,11 @@ class TestEngineParity:
         assert report.identical, (
             f"{algorithm}/{workload}: {report.describe()}"
         )
+        _assert_served_whole(factory(), engine_calls)
 
-    def test_array_ledger_matches_golden_totals(self, algorithm, workload, path):
+    def test_array_ledger_matches_golden_totals(
+        self, algorithm, workload, path, engine_calls
+    ):
         _, rows = load_golden(path)
         totals = golden_totals(rows)
         mm = make_mm(algorithm, TLB_ENTRIES, RAM_PAGES, seed=SEED, engine="array")
@@ -75,6 +84,7 @@ class TestEngineParity:
         assert ledger.ios == totals["ios"]
         assert ledger.decoding_misses == totals["decoding_misses"]
         assert mm._eviction_count() - evictions0 == totals["evictions"]
+        _assert_served_whole(mm, engine_calls)
 
 
 MT_CASES = list(mt_golden_cases())
@@ -109,7 +119,7 @@ class TestMultiTenantEngineParity:
             assert ledger.decoding_misses == totals["decoding_misses"], record.name
 
     def test_array_engine_falls_back_to_golden_totals(
-        self, algorithm, k, path, monkeypatch
+        self, algorithm, k, path, engine_calls
     ):
         # no probe here: an attached tap would itself force the object
         # path. Every span segment must be accepted — a handler that
@@ -117,20 +127,12 @@ class TestMultiTenantEngineParity:
         # though the object fallback would still land on the totals.
         _, golden_rows = load_golden(path)
         totals = golden_totals(golden_rows)
-        results = []
-        real_try_run = array_engine.try_run
-
-        def counting_try_run(mm, trace):
-            results.append(real_try_run(mm, trace))
-            return results[-1]
-
-        monkeypatch.setattr(array_engine, "try_run", counting_try_run)
         sim = build_sim(algorithm, k, engine="array")
         result = sim.run()
-        assert results, "the array engine was never asked"
-        assert all(r is not None for r in results), (
-            f"{sum(r is None for r in results)} of {len(results)} segments declined"
-        )
+        assert engine_calls, "the array engine was never asked"
+        declined = sum(served is None for _, served in engine_calls)
+        assert not declined, f"{declined} of {len(engine_calls)} segments declined"
+        _assert_served_whole(sim.mm, engine_calls)
         ledger = result.ledger
         assert ledger.accesses == totals["accesses"]
         assert ledger.tlb_misses == totals["tlb_misses"]
@@ -139,11 +141,12 @@ class TestMultiTenantEngineParity:
         assert sim.mm._eviction_count() == totals["evictions"]
         result.verify_counter_sums()
 
-    def test_engines_agree_on_tenant_ledgers(self, algorithm, k, path):
+    def test_engines_agree_on_tenant_ledgers(self, algorithm, k, path, engine_calls):
         sim_obj = build_sim(algorithm, k, engine="object")
         sim_arr = build_sim(algorithm, k, engine="array")
         res_obj = sim_obj.run()
         res_arr = sim_arr.run()
+        _assert_served_whole(sim_arr.mm, engine_calls)
         assert _state_sig(sim_obj.mm) == _state_sig(sim_arr.mm)
         assert res_obj.ledger.as_dict() == res_arr.ledger.as_dict()
         assert res_obj.switches == res_arr.switches
@@ -179,7 +182,7 @@ class TestPagingFailureParity:
         assert mm.ledger.as_dict() == header["ledger"]
         assert header["ledger"]["paging_failures"] >= 2
 
-    def test_cold_segment_bails_at_the_failing_access(self, algorithm, path):
+    def test_cold_segment_bails_at_the_failing_access(self, algorithm, path, engine_calls):
         # truncate the trace right after the first failure: the array
         # engine's bailout ledger at that access must equal the object
         # engine's, field for field (accesses/tlb_hits/ios/... all of it)
@@ -192,8 +195,10 @@ class TestPagingFailureParity:
         arr.run(trace)
         assert obj.ledger.paging_failures == 1
         assert obj.ledger.as_dict() == arr.ledger.as_dict()
+        # the failing access is the segment's last: served through it
+        assert engine_calls == [(len(trace), len(trace))]
 
-    def test_warm_resumed_segment_bails_identically(self, algorithm, path):
+    def test_warm_resumed_segment_bails_identically(self, algorithm, path, engine_calls):
         # warm both engines up to the pre-failure split, reset counters,
         # then resume into the failure: the measurement-phase ledgers
         # must agree at the exact failing access despite the warm state
@@ -212,8 +217,9 @@ class TestPagingFailureParity:
             ledgers[engine] = mm.ledger.as_dict()
         assert ledgers["object"]["paging_failures"] == 1
         assert ledgers["object"] == ledgers["array"]
+        assert engine_calls == [(warm, warm), (first_fail + 1 - warm,) * 2]
 
-    def test_array_ledger_matches_golden_totals(self, algorithm, path):
+    def test_array_ledger_matches_golden_totals(self, algorithm, path, engine_calls):
         header, rows = load_golden(path)
         totals = golden_totals(rows)
         mm = build_failure_mm(algorithm, engine="array")
@@ -223,3 +229,5 @@ class TestPagingFailureParity:
         assert ledger.ios == totals["ios"]
         assert ledger.decoding_misses == totals["decoding_misses"]
         assert ledger.as_dict() == header["ledger"]
+        # the engine bails out at the first failure, through that access
+        assert engine_calls == [(FAIL_ACCESSES, header["failures"][0] + 1)]

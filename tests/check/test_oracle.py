@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.check import InvariantViolation, ValidatingMM
-from repro.mmu import MM_NAMES, BasePageMM, DecoupledMM, PhysicalHugePageMM, make_mm
+from repro.mmu import (
+    MM_NAMES,
+    BasePageMM,
+    DecoupledMM,
+    PhysicalHugePageMM,
+    array_engine,
+    make_mm,
+)
 from repro.workloads import MarkovPhaseWorkload, UniformWorkload, ZipfWorkload
 
 PAGES = 1 << 12
@@ -56,6 +63,18 @@ class TestCleanRunsValidate:
         ledger = validated.run(trace)
         assert ledger is checked.ledger  # shared, not copied
         assert ledger.as_dict() == plain.ledger.as_dict()
+
+    def test_wrapper_replays_on_the_object_engine(self, monkeypatch):
+        # every request goes through the oracle's access(): the wrapper
+        # never offers the array engine, whatever the default engine
+        def no_engine(mm, trace):  # pragma: no cover - failure path
+            raise AssertionError("a validated run reached the array engine")
+
+        monkeypatch.setattr(array_engine, "try_run", no_engine)
+        validated = ValidatingMM(make_mm("decoupled", TLB, RAM, seed=5))
+        assert validated.engine == "object"
+        validated.run(ZipfWorkload(PAGES, s=1.0).generate(3000, seed=3))
+        assert validated.oracle.accesses_checked == 3000
 
     def test_refuses_double_wrapping(self):
         validated = ValidatingMM(BasePageMM(TLB, RAM))

@@ -18,16 +18,21 @@ boundary. These tests pin that promise:
   of the resident set and the object state is synced incrementally:
   random cut points and shootdowns, the write-back dirty carry outside
   the window, and paging failures inside a windowed segment;
+* one segment of a million accesses, served in pieces no longer than the
+  ceiling: counters and state equal the object engine's, and the traced
+  memory peak stays bounded;
 * engine selection through the registry, ``simulate``, and ``SimTask``.
 """
 
+import tracemalloc
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from repro.bench import figure1_workload, make_physical_mm
 from repro.bench.hotloop import FAILURE_MMS, HOTLOOP_CONFIG, key_stream
-from repro.mmu import array_engine
+from repro.mmu import PhysicalHugePageMM, array_engine
 from repro.mmu.array_engine import StreamKernel, supports, try_run
 from repro.mmu.registry import ENGINES, MM_NAMES, make_mm, mm_factory
 from repro.obs import SamplingProbe, TraceRecorder
@@ -102,6 +107,15 @@ def _state_sig(mm):
         )
         sig["psi"] = dict(scheme._psi)
     return sig
+
+
+def _assert_served_whole(mm, engine_calls):
+    """With the floors lifted (the ``engine_calls`` fixture), the array
+    engine served every segment of *mm*'s runs in full — when *mm* runs on
+    it and its class has a batch handler (thp has none)."""
+    if mm.engine == "array" and supports(mm):
+        assert engine_calls, "the array engine was never asked"
+        assert all(served == n for n, served in engine_calls), engine_calls
 
 
 # --------------------------------------------------------------- kernel
@@ -181,14 +195,14 @@ class TestStreamKernel:
 @pytest.mark.parametrize("name", ARRAY_MMS)
 class TestDeepStateParity:
     def test_cold_run(self, name):
-        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0)
+        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="object")
         arr = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0)
         obj.run(TRACE)
         assert try_run(arr, TRACE) is not None, "array engine declined"
         assert _state_sig(obj) == _state_sig(arr)
 
-    def test_segmented_and_warm_reset(self, name):
-        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0)
+    def test_segmented_and_warm_reset(self, name, engine_calls):
+        obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="object")
         arr = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="array")
         cuts = (0, 3_337, 3_338, 9_101, 12_000)
         for a, b in zip(cuts[:-1], cuts[1:]):
@@ -200,6 +214,8 @@ class TestDeepStateParity:
         obj.run(TRACE[:5_000])
         arr.run(TRACE[:5_000])
         assert _state_sig(obj) == _state_sig(arr)
+        lengths = [b - a for a, b in zip(cuts[:-1], cuts[1:])] + [5_000]
+        assert engine_calls == [(n, n) for n in lengths]
 
     def test_supports(self, name):
         assert supports(make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0))
@@ -209,7 +225,9 @@ class TestWritebackDirtyCarry:
     def test_dirty_state_crosses_segment_boundaries(self):
         # a page dirtied in segment 1 but evicted in segment 2 must still
         # flush — the per-segment store sampling alone cannot see it
-        obj = make_mm("physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0)
+        obj = make_mm(
+            "physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0, engine="object"
+        )
         arr = make_mm(
             "physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0, engine="array"
         )
@@ -229,7 +247,7 @@ class TestPagingFailureBailout:
 
     def _run_pair(self, name, tlb, ram, universe, seed):
         trace = key_stream(4_000, universe, universe // 8, 50, seed=0)
-        obj = make_mm(name, tlb, ram, seed=seed)
+        obj = make_mm(name, tlb, ram, seed=seed, engine="object")
         arr = make_mm(name, tlb, ram, seed=seed, engine="array")
         obj.run(trace)
         arr.run(trace)
@@ -250,7 +268,7 @@ class TestPagingFailureBailout:
         # every later run() falls back to the object replay — the two
         # engines must stay in lockstep across that transition too
         trace = key_stream(4_000, 1024, 128, 50, seed=0)
-        obj = make_mm("decoupled", 32, 64, seed=2)
+        obj = make_mm("decoupled", 32, 64, seed=2, engine="object")
         arr = make_mm("decoupled", 32, 64, seed=2, engine="array")
         for a, b in ((0, 2_000), (2_000, 4_000)):
             obj.run(trace[a:b])
@@ -277,6 +295,16 @@ def window_log(monkeypatch):
     return log
 
 
+def _run_unfloored(mm, segment) -> int:
+    """``mm.run(segment)`` without the class's floor: the array engine is
+    offered the segment at any length, and the object engine finishes
+    what it did not serve.  Returns the accesses the array engine served."""
+    done = try_run(mm, segment) or 0
+    if done < len(segment):
+        mm._run_batch(segment[done:])
+    return done
+
+
 def _random_cuts(rng, start, stop, longest):
     """Seeded cut points in ``[start, stop]``: segment lengths in
     ``1..longest``, with a run of 1-access segments up front."""
@@ -291,16 +319,18 @@ def _random_cuts(rng, start, stop, longest):
 def test_short_segments_with_shootdowns_keep_deep_state(name, window_log):
     # warm caches hold more than twice every segment, so each call
     # starts from a window of the resident set; shootdowns between
-    # segments punch holes in the TLB order the next window reads
+    # segments punch holes in the TLB order the next window reads.
+    # run() keeps segments this short off the engine (they are below
+    # every floor), so the array side calls try_run directly
     rng = np.random.default_rng(MM_NAMES.index(name))
-    obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0)
+    obj = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="object")
     arr = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine="array")
     obj.run(TRACE[:3_000])
     arr.run(TRACE[:3_000])
     cuts = _random_cuts(rng, 3_000, 8_000, 24)
     for a, b in zip(cuts[:-1], cuts[1:]):
         obj.run(TRACE[a:b])
-        arr.run(TRACE[a:b])
+        assert try_run(arr, TRACE[a:b]) == b - a, f"segment {a}:{b} declined"
         assert _state_sig(obj) == _state_sig(arr), f"segment {a}:{b}"
         if rng.random() < 0.25:
             lo = int(rng.integers(0, 1 << 12))
@@ -313,7 +343,9 @@ def test_short_segments_with_shootdowns_keep_deep_state(name, window_log):
 def test_writeback_dirty_bits_outside_the_window_carry_over():
     # residents outside the window are untouched and never evicted, so
     # the segment must leave their dirty bits exactly as it found them
-    obj = make_mm("physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0)
+    obj = make_mm(
+        "physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0, engine="object"
+    )
     arr = make_mm(
         "physical-huge+wb", TLB_ENTRIES, RAM_PAGES, seed=0, engine="array"
     )
@@ -329,7 +361,7 @@ def test_writeback_dirty_bits_outside_the_window_carry_over():
         )
         carried += bool(arr._dirty - set(prefix))
         obj.run(TRACE[a:b])
-        arr.run(TRACE[a:b])
+        assert try_run(arr, TRACE[a:b]) == b - a, f"segment {a}:{b} declined"
         assert _state_sig(obj) == _state_sig(arr), f"segment {a}:{b}"
     assert carried > 100, "no dirty resident ever sat outside the window"
     assert obj.ledger.extra["writebacks"] > 0
@@ -339,14 +371,18 @@ def test_writeback_dirty_bits_outside_the_window_carry_over():
 def test_paging_failure_inside_a_windowed_segment(name):
     # the undersized failure cells, cut into 1..7-access segments: the
     # hybrid RAM holds 15 units, so only segments that short are
-    # windowed; the bailout then syncs a windowed state mid-segment
+    # windowed; the bailout then syncs a windowed state mid-segment.
+    # Segments this short are below every floor, so the array side
+    # offers them to the engine directly
     geom = FAILURE_MMS[name]
     trace = np.asarray(
         key_stream(4_000, geom["universe"], geom["universe"] // 8, 50, seed=0),
         dtype=np.int64,
     )
     mm_seed = HOTLOOP_CONFIG["fail_mm_seed"]
-    obj = make_mm(name, geom["tlb_entries"], geom["ram_pages"], seed=mm_seed)
+    obj = make_mm(
+        name, geom["tlb_entries"], geom["ram_pages"], seed=mm_seed, engine="object"
+    )
     arr = make_mm(
         name, geom["tlb_entries"], geom["ram_pages"], seed=mm_seed, engine="array"
     )
@@ -360,12 +396,47 @@ def test_paging_failure_inside_a_windowed_segment(name):
         windowed = len(arr.system.ram.policy._order) > 2 * (b - a)
         failures = arr.ledger.paging_failures
         obj.run(trace[a:b])
-        arr.run(trace[a:b])
+        served = _run_unfloored(arr, trace[a:b])
         assert _state_sig(obj) == _state_sig(arr), f"segment {a}:{b}"
         windowed_failures += (
-            batched and windowed and arr.ledger.paging_failures > failures
+            batched and windowed and served and arr.ledger.paging_failures > failures
         )
     assert windowed_failures >= 2, "no paging failure inside a windowed segment"
+
+
+# ------------------------------------------------------- long segments
+
+
+def test_one_long_segment_runs_in_linear_time_and_bounded_memory(monkeypatch):
+    # a million accesses of Figure 1a's trace at h=64 in one run(): the
+    # engine serves them in pieces no longer than the ceiling, so no
+    # kernel's dominance grid (quadratic in its length) grows with the
+    # segment, and the traced peak stays flat
+    workload, ram_pages = figure1_workload("a", 1 << 18, seed=0)
+    trace = workload.generate(1 << 20, seed=0)
+    folds = []
+    real_fold = array_engine._paged_fold
+
+    def fold_spy(mm, piece):
+        folds.append(len(piece))
+        return real_fold(mm, piece)
+
+    monkeypatch.setattr(array_engine, "_paged_fold", fold_spy)
+    arr = make_physical_mm(512, ram_pages, 64)()
+    assert arr.engine == "array"
+    tracemalloc.start()
+    try:
+        arr.run(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 << 20, f"traced peak {peak / 2**20:.0f} MB"
+    _floor, ceiling = array_engine._LIMITS[PhysicalHugePageMM]
+    assert sum(folds) == len(trace) and max(folds) <= ceiling
+    obj = make_physical_mm(512, ram_pages, 64)()
+    obj.engine = "object"
+    obj.run(trace)
+    assert _state_sig(arr) == _state_sig(obj)
 
 
 # --------------------------------------------------- selection plumbing
@@ -379,32 +450,38 @@ class TestEngineSelection:
             mm_factory("base-page", 64, 1024, engine="simd")
 
     def test_registry_sets_engine(self):
-        assert make_mm("base-page", 64, 1024).engine == "object"
-        assert make_mm("base-page", 64, 1024, engine="array").engine == "array"
-        assert mm_factory("base-page", 64, 1024, engine="array")().engine == "array"
+        assert make_mm("base-page", 64, 1024).engine == "array"
+        assert mm_factory("base-page", 64, 1024)().engine == "array"
+        assert make_mm("base-page", 64, 1024, engine="object").engine == "object"
+        assert mm_factory("base-page", 64, 1024, engine="object")().engine == "object"
         assert set(ENGINES) == {"object", "array"}
 
     def test_thp_falls_back_to_object(self):
-        obj = make_mm("thp", TLB_ENTRIES, RAM_PAGES)
+        obj = make_mm("thp", TLB_ENTRIES, RAM_PAGES, engine="object")
         arr = make_mm("thp", TLB_ENTRIES, RAM_PAGES, engine="array")
         obj.run(TRACE[:4_000])
         arr.run(TRACE[:4_000])
         assert obj.ledger.as_dict() == arr.ledger.as_dict()
 
-    def test_simulate_engine_override(self):
-        obj = make_mm("base-page", TLB_ENTRIES, RAM_PAGES)
-        arr = make_mm("base-page", TLB_ENTRIES, RAM_PAGES)
+    def test_simulate_engine_override(self, engine_calls):
+        obj = make_mm("base-page", TLB_ENTRIES, RAM_PAGES, engine="object")
+        arr = make_mm("base-page", TLB_ENTRIES, RAM_PAGES, engine="object")
         lo = simulate(obj, TRACE, warmup=2_000)
         la = simulate(arr, TRACE, warmup=2_000, engine="array")
+        assert obj.engine == "object"
         assert arr.engine == "array"
         assert lo.as_dict() == la.as_dict()
+        assert engine_calls == [(2_000, 2_000), (len(TRACE) - 2_000,) * 2]
 
     def test_simtask_engine(self):
         tasks = [
-            SimTask(key=0, mm_factory=mm_factory("decoupled", 64, 1024, seed=0)),
+            SimTask(
+                key=0,
+                mm_factory=mm_factory("decoupled", 64, 1024, seed=0, engine="object"),
+            ),
             SimTask(
                 key=1,
-                mm_factory=mm_factory("decoupled", 64, 1024, seed=0),
+                mm_factory=mm_factory("decoupled", 64, 1024, seed=0, engine="object"),
                 engine="array",
             ),
         ]
@@ -419,13 +496,13 @@ class TestProbeContract:
     def test_per_access_probe_forces_object_path(self):
         # TraceRecorder needs every access event; the array engine must
         # decline and the ledgers must still match the probed object run
-        probed = make_mm("base-page", TLB_ENTRIES, RAM_PAGES)
+        probed = make_mm("base-page", TLB_ENTRIES, RAM_PAGES, engine="object")
         arr = make_mm("base-page", TLB_ENTRIES, RAM_PAGES, engine="array")
         lp = simulate(probed, TRACE[:3_000], probe=TraceRecorder(capacity=16))
         la = simulate(arr, TRACE[:3_000], probe=TraceRecorder(capacity=16))
         assert lp.as_dict() == la.as_dict()
 
-    def test_batch_safe_probe_gets_one_flush(self):
+    def test_batch_safe_probe_gets_one_flush(self, engine_calls):
         flushes = []
 
         class _Tap(SamplingProbe):
@@ -435,6 +512,7 @@ class TestProbeContract:
         mm = make_mm("base-page", TLB_ENTRIES, RAM_PAGES, engine="array")
         mm.probe = _Tap(1.0, seed=0)
         mm.run(TRACE[:3_000])
+        assert engine_calls == [(3_000, 3_000)]
         assert len(flushes) == 1
         t0, n_vpns, after, before = flushes[0]
         assert (t0, n_vpns) == (0, 3_000)

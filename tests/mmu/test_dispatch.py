@@ -13,19 +13,24 @@ contract for every registry algorithm on both engines:
 * probes that are not batch-safe take ``_run_probed`` and never reach the
   array engine;
 * a subclass that redefines ``access`` without its own hook replays
-  through that ``access``; ``WritebackHugePageMM`` is one.
+  through that ``access``; ``WritebackHugePageMM`` is one;
+* the per-class floor and ceiling (``array_engine._LIMITS``): a segment
+  below the floor never reaches ``try_run``, and one above the ceiling
+  reaches the handler as equal pieces, with the same state as the object
+  engine when a piece fails, when a handler declines a later piece, and
+  under miss attribution.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench.hotloop import key_stream
+from repro.bench.hotloop import FAILURE_MMS, HOTLOOP_CONFIG, key_stream
 from repro.mmu import PhysicalHugePageMM, THPStyleMM, array_engine
 from repro.mmu.base import MemoryManagementAlgorithm
 from repro.mmu.registry import ENGINES, MM_NAMES, make_mm
-from repro.obs import Probe, TraceRecorder
+from repro.obs import AttributionProbe, Probe, TraceRecorder
 
-from .test_array_engine import _state_sig
+from .test_array_engine import ARRAY_MMS, _assert_served_whole, _state_sig
 
 TLB_ENTRIES = 64
 RAM_PAGES = 1024
@@ -68,7 +73,9 @@ def _deep_state(mm):
 
 @pytest.mark.parametrize(("name", "engine"), CELLS, ids=CELL_IDS)
 class TestFlushCounts:
-    def test_one_flush_per_run_empty_trace_included(self, name, engine):
+    # the floors are lifted (engine_calls), so the array cells flush
+    # segments the engine served, not object replays
+    def test_one_flush_per_run_empty_trace_included(self, name, engine, engine_calls):
         mm = _build(name, engine)
         probe = mm.probe = _FlushCounter()
         mm.run(np.arange(0))
@@ -76,8 +83,9 @@ class TestFlushCounts:
         mm.run(np.arange(0))
         n = len(TRACE)
         assert probe.flushes == [(0, 0, 0), (0, n, n), (n, 0, 0)]
+        _assert_served_whole(mm, engine_calls)
 
-    def test_one_flush_per_interval_segment(self, name, engine):
+    def test_one_flush_per_interval_segment(self, name, engine, engine_calls):
         mm = _build(name, engine)
         probe = mm.probe = _FlushCounter(interval=700)
         mm.run(TRACE)
@@ -90,14 +98,16 @@ class TestFlushCounts:
         assert all(size == delta for _, size, delta in probe.flushes)
         mm.run(np.arange(0))
         assert len(probe.flushes) == -(-n // 700)  # ceil(0 / 700) == 0
+        _assert_served_whole(mm, engine_calls)
 
-    def test_interval_probe_leaves_state_bit_identical(self, name, engine):
+    def test_interval_probe_leaves_state_bit_identical(self, name, engine, engine_calls):
         plain = _build(name, engine)
         plain.run(TRACE)
         probed = _build(name, engine)
         probed.probe = _FlushCounter(interval=337)
         probed.run(TRACE)
         assert _deep_state(probed) == _deep_state(plain)
+        _assert_served_whole(probed, engine_calls)
 
 
 @pytest.mark.parametrize(("name", "engine"), CELLS, ids=CELL_IDS)
@@ -177,3 +187,174 @@ class TestAccessOverrides:
         reference = _build("physical-huge+wb", "array")
         reference.run(TRACE)
         assert _state_sig(mm) == _state_sig(reference)
+
+
+# ------------------------------------------------------- floor and ceiling
+
+#: long enough to clear every class's floor.
+LONG_TRACE = np.array(key_stream(6_007, 1 << 12, 1 << 7, 90, seed=2), dtype=np.int64)
+
+
+def _try_run_log(monkeypatch) -> list:
+    """Record the length of every segment ``run()`` offers the engine."""
+    log = []
+    real = array_engine.try_run
+
+    def spy(mm, trace):
+        log.append(len(trace))
+        return real(mm, trace)
+
+    monkeypatch.setattr(array_engine, "try_run", spy)
+    return log
+
+
+def _piece_log(monkeypatch, cls, *, decline_from=None) -> list:
+    """Record the length of every piece ``try_run`` hands *cls*'s handler;
+    with *decline_from* set, the handler declines the piece of that
+    (0-based) index and every later one."""
+    log = []
+    real = array_engine._HANDLERS[cls]
+
+    def spy(mm, piece):
+        log.append(len(piece))
+        if decline_from is not None and len(log) > decline_from:
+            return None
+        return real(mm, piece)
+
+    monkeypatch.setitem(array_engine._HANDLERS, cls, spy)
+    return log
+
+
+def _set_ceiling(monkeypatch, cls, ceiling: int) -> None:
+    floor, _ = array_engine._LIMITS[cls]
+    monkeypatch.setitem(array_engine._LIMITS, cls, (floor, ceiling))
+
+
+def _equal_pieces(n: int, ceiling: int) -> list:
+    pieces = -(-n // ceiling)
+    return [(k + 1) * n // pieces - k * n // pieces for k in range(pieces)]
+
+
+def test_every_handled_class_has_a_floor_and_a_ceiling():
+    assert array_engine._LIMITS.keys() == array_engine._HANDLERS.keys()
+    for floor, ceiling in array_engine._LIMITS.values():
+        assert 0 < floor < ceiling
+
+
+@pytest.mark.parametrize("name", ARRAY_MMS)
+def test_floor_decides_whether_run_offers_the_engine(name, monkeypatch):
+    floor, _ = array_engine._LIMITS[type(_build(name, "array"))]
+    assert 1 < floor <= len(LONG_TRACE)
+    offered = _try_run_log(monkeypatch)
+    for n in (floor - 1, floor):
+        arr = _build(name, "array")
+        arr.run(LONG_TRACE[:n])
+        ref = _build(name, "object")
+        ref.run(LONG_TRACE[:n])
+        assert _state_sig(arr) == _state_sig(ref), n
+    assert offered == [floor]
+
+
+@pytest.mark.parametrize("name", ARRAY_MMS)
+def test_long_segment_reaches_the_handler_in_equal_pieces(name, monkeypatch):
+    arr = _build(name, "array")
+    cls = type(arr)
+    _set_ceiling(monkeypatch, cls, 1_000)
+    pieces = _piece_log(monkeypatch, cls)
+    arr.run(LONG_TRACE)
+    assert pieces == _equal_pieces(len(LONG_TRACE), 1_000)
+    assert max(pieces) - min(pieces) <= 1 and len(pieces) == 7
+    ref = _build(name, "object")
+    ref.run(LONG_TRACE)
+    assert _state_sig(arr) == _state_sig(ref)
+
+
+@pytest.mark.parametrize("name", sorted(FAILURE_MMS))
+def test_paging_failure_in_a_later_piece_hands_the_rest_to_the_object_engine(
+    name, monkeypatch
+):
+    geom = FAILURE_MMS[name]
+    trace = np.asarray(
+        key_stream(4_000, geom["universe"], geom["universe"] // 8, 50, seed=0),
+        dtype=np.int64,
+    )
+
+    def build(engine):
+        return make_mm(
+            name, geom["tlb_entries"], geom["ram_pages"],
+            seed=HOTLOOP_CONFIG["fail_mm_seed"], engine=engine,
+        )
+
+    stepped = build("object")
+    for first_fail, vpn in enumerate(trace.tolist()):
+        stepped.access(vpn)
+        if stepped.ledger.paging_failures:
+            break
+    ceiling = first_fail // 2
+    sizes = _equal_pieces(len(trace), ceiling)
+    bounds = np.cumsum(sizes).tolist()
+    failing_piece = next(k for k, end in enumerate(bounds) if first_fail < end)
+    assert failing_piece >= 2
+
+    arr = build("array")
+    cls = type(arr)
+    _set_ceiling(monkeypatch, cls, ceiling)
+    pieces = _piece_log(monkeypatch, cls)
+    remainders = []
+    real_batch = cls._run_batch
+
+    def batch_spy(self, segment):
+        remainders.append(len(segment))
+        return real_batch(self, segment)
+
+    monkeypatch.setattr(cls, "_run_batch", batch_spy)
+    arr.run(trace)
+    assert pieces == sizes[: failing_piece + 1]
+    assert remainders == [len(trace) - first_fail - 1]
+    ref = build("object")
+    ref.run(trace)
+    assert ref.ledger.paging_failures >= 2
+    assert _state_sig(arr) == _state_sig(ref)
+
+
+def test_handler_declining_a_later_piece_keeps_the_served_prefix(monkeypatch):
+    arr = _build("physical-huge", "array")
+    cls = type(arr)
+    _set_ceiling(monkeypatch, cls, 2_500)
+    pieces = _piece_log(monkeypatch, cls, decline_from=1)
+    sizes = _equal_pieces(len(LONG_TRACE), 2_500)
+    assert array_engine.try_run(arr, LONG_TRACE) == sizes[0]
+    assert pieces == sizes[:2]
+
+    arr = _build("physical-huge", "array")
+    pieces.clear()
+    arr.run(LONG_TRACE)
+    assert pieces == sizes[:2]
+    ref = _build("physical-huge", "object")
+    ref.run(LONG_TRACE)
+    assert _state_sig(arr) == _state_sig(ref)
+
+
+def test_attributed_segment_past_the_ceiling_keeps_its_causes(monkeypatch):
+    name = "physical-huge"
+    _floor, ceiling = array_engine._LIMITS[PhysicalHugePageMM]
+    trace = np.array(
+        key_stream(2 * ceiling + 3, 1 << 14, 1 << 9, 90, seed=4), dtype=np.int64
+    )
+    folds = []
+    real_fold = array_engine._paged_fold
+
+    def fold_spy(mm, piece):
+        folds.append(len(piece))
+        return real_fold(mm, piece)
+
+    monkeypatch.setattr(array_engine, "_paged_fold", fold_spy)
+    runs = {}
+    for engine in ENGINES:
+        mm = _build(name, engine)
+        probe = AttributionProbe().observe(mm)
+        mm.run(trace)
+        runs[engine] = (_state_sig(mm), probe.counts, probe.matrix)
+    assert folds == _equal_pieces(len(trace), ceiling)
+    assert sum(runs["object"][1].values()) > 0
+    assert runs["array"] == runs["object"]

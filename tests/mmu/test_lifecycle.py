@@ -19,7 +19,7 @@ import pytest
 from repro.bench.harness import _as_factory
 from repro.mmu.registry import ENGINES, MM_NAMES, make_mm
 
-from .test_array_engine import TRACE, _state_sig
+from .test_array_engine import TRACE, _assert_served_whole, _state_sig
 
 TLB_ENTRIES = 32
 RAM_PAGES = 512
@@ -37,9 +37,12 @@ def no_cyclic_gc():
 
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("name", MM_NAMES)
-def test_dropped_machine_dies_without_the_collector(name, engine, no_cyclic_gc):
+def test_dropped_machine_dies_without_the_collector(
+    name, engine, no_cyclic_gc, engine_calls
+):
     mm = make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0, engine=engine)
     mm.run(TRACE[:3_000])
+    _assert_served_whole(mm, engine_calls)
     refs = [weakref.ref(mm)]
     system = getattr(mm, "system", None)
     if system is not None:

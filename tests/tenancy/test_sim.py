@@ -9,6 +9,8 @@ from repro.mmu.registry import make_mm
 from repro.tenancy import MultiTenantSim, Tenant
 from repro.workloads import UniformWorkload, ZipfWorkload
 
+from ..mmu.test_array_engine import _assert_served_whole
+
 
 def _tenants(k, accesses=600, va_pages=256, arrival_step=0):
     return [
@@ -178,9 +180,28 @@ class TestPhiRemap:
         ).run()
         assert any(e.reason == "phi-change" for e in result.shootdowns)
 
-    def test_remap_engine_parity(self):
+    @pytest.mark.parametrize("engine", ["object", "array"])
+    def test_remap_audit_allows_exited_slices_without_exit_shootdowns(self, engine):
+        # tenant 0 exits after two turns and keeps its entries; a later
+        # remap of another tenant must not report them as stale. (A
+        # validated machine replays every access under the oracle, so the
+        # audit sees the same replay whichever engine the machine has.)
+        mm = make_mm("base-page", 16, 64, seed=0, engine=engine)
+        tenants = [
+            Tenant(f"t{i}", trace=np.random.default_rng(0).integers(0, 64, n))
+            for i, n in enumerate((32, 400, 400))
+        ]
+        result = MultiTenantSim(
+            mm, tenants, quantum=16, remap_every=2,
+            shootdown_on_exit=False, validate=True,
+        ).run()
+        assert all(e.reason == "phi-change" for e in result.shootdowns)
+        assert result.shootdowns[0].clock > result.records[0].finished
+
+    def test_remap_engine_parity(self, engine_calls):
         # phi-change shootdowns between quanta must leave both engines
-        # bit-identical — the array engine resumes from the flushed TLB
+        # bit-identical — the array engine resumes from the flushed TLB.
+        # The spans are shorter than the floors, which engine_calls lifts
         for algorithm in ("decoupled", "hybrid"):
             ledgers = {}
             for engine in ("object", "array"):
@@ -195,6 +216,8 @@ class TestPhiRemap:
                     len(result.shootdowns),
                 )
             assert ledgers["object"] == ledgers["array"]
+            _assert_served_whole(mm, engine_calls)
+            engine_calls.clear()
 
     def test_remap_every_validation(self):
         with pytest.raises(ValueError, match="remap_every"):

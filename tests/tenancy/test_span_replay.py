@@ -11,6 +11,11 @@ paths — records, shootdown events, switches, clock, global ledger and
 deep state — including under warm-ups that land mid-turn, φ remaps,
 churn, miss attribution, the invariant oracle, per-access and interval
 probes, and paging failures inside a multi-ASID span.
+
+Many spans here are shorter than their class's floor, below which
+``run()`` keeps a segment on the object engine; the array cells lift the
+floors (the ``engine_calls`` fixture) and assert that the engine served
+the spans it can take.
 """
 
 import numpy as np
@@ -30,6 +35,7 @@ from repro.tenancy import (
 )
 from repro.workloads import ZipfWorkload
 
+from ..mmu.test_array_engine import _assert_served_whole
 from ..mmu.test_dispatch import _deep_state
 
 SCHEDULERS = ("round-robin", "priority", "jittered")
@@ -214,13 +220,20 @@ MATRIX = [
     MATRIX,
     ids=["-".join(cell) for cell in MATRIX],
 )
-def test_span_replay_matches_the_per_turn_reference(name, engine, scheduler, case):
+def test_span_replay_matches_the_per_turn_reference(
+    name, engine, scheduler, case, engine_calls
+):
     got, want, sim, _ref = _both(
         lambda: _build(name, engine, scheduler, **CASES[case])
     )
     assert got == want
     if sim.remap_every is not None:
         assert any(e[3] == "phi-change" for e in got["shootdowns"])
+    # a validated machine replays per access under the oracle, and miss
+    # attribution outside the base-page/physical-huge fold declines to the
+    # object engine; every other array span is the engine's
+    if not (case == "remap-attrib" and name not in ("base-page", "physical-huge")):
+        _assert_served_whole(sim.mm, engine_calls)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -254,7 +267,7 @@ class _IntervalCounter(Probe):
 
 @pytest.mark.parametrize("name", MM_NAMES)
 @pytest.mark.parametrize("engine", ENGINES)
-def test_probed_machines_credit_every_tenant(name, engine):
+def test_probed_machines_credit_every_tenant(name, engine, engine_calls):
     """A per-access tap takes ``_run_probed`` and an interval probe cuts
     every span into segments; both must still credit each tenant exactly
     its own accesses, with the tap's rows unchanged."""
@@ -277,9 +290,11 @@ def test_probed_machines_credit_every_tenant(name, engine):
     assert got == want
     assert sum(sim.mm.probe.sizes) == sum(ref.mm.probe.sizes)
     assert max(sim.mm.probe.sizes) == _IntervalCounter.batch_interval
+    _assert_served_whole(sim.mm, engine_calls)
 
 
 @pytest.mark.parametrize("name", sorted(FAILURE_MMS))
+@pytest.mark.usefixtures("engine_calls")
 def test_paging_failure_inside_a_multi_asid_span(name, monkeypatch):
     """Four tenants on the undersized FAILURE_MMS machine fail mid-run;
     on the array engine the first failure must bail out in the middle of

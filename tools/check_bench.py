@@ -44,7 +44,14 @@ The engine-identity gate holds every ``mm@object:<x>`` row to counters
 identical to its ``mm:<x>`` twin — including the ``mm:<name>+fail``
 paging-failure cells, which must additionally report
 ``paging_failures > 0`` so the bailout path stays exercised (exit 2
-either way).
+either way). The same pairs carry the engine-ratio gate in the **new**
+run: per row family — whole trace, ``+fail``, ``@q`` and ``@t`` — the
+geometric mean of the ``mm:<x>`` rows' ``ops_per_s`` over their object
+twins' may not fall below ``1 - --engine-tolerance`` (default 0.25;
+exit 1), so no family of cells falls off the array engine's speed. The
+twins are timed interleaved, like the probed rows, so slow drift in
+machine speed cancels out of the ratio, and the geomean absorbs the
+noise of single rows.
 
 Stdlib-only on purpose: the gate runs before (and independent of) the
 package itself.
@@ -137,6 +144,10 @@ def _unprobed_twin(rows: dict, name: str, prefix: str) -> dict | None:
     return None
 
 
+def _geomean(ratios: list[float]) -> float:
+    return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
+
+
 def _probed_gate(
     payload: dict, probe_tolerance: float, messages: list[str]
 ) -> int:
@@ -170,9 +181,7 @@ def _probed_gate(
                     "(a probe must never perturb the simulation)"
                 )
             ratios.append(probed["ops_per_s"] / plain["ops_per_s"])
-        geomean_ratio = math.exp(
-            sum(math.log(r) for r in ratios) / len(ratios)
-        )
+        geomean_ratio = _geomean(ratios)
         line = (
             f"{prefix.rstrip(':')} throughput: {geomean_ratio:.1%} of "
             f"unprobed across {len(pairs)} fast-path MMs "
@@ -186,7 +195,19 @@ def _probed_gate(
     return code
 
 
-def _engine_twin_gate(payload: dict, messages: list[str]) -> int:
+def _engine_family(component: str) -> str:
+    """The family of an engine-twin row: ``+fail``, ``@q`` / ``@t`` (its
+    turn-length or tenant-count suffix without the number) or the whole
+    trace."""
+    if component.endswith("+fail"):
+        return "+fail"
+    _, at, suffix = component.rpartition("@")
+    return "@" + suffix.rstrip("0123456789") if at else "whole-trace"
+
+
+def _engine_twin_gate(
+    payload: dict, engine_tolerance: float, messages: list[str]
+) -> int:
     """``mm@object:<name>`` rows re-run ``mm:<name>`` on the object engine;
     both replay the same deterministic stream, so any counter divergence
     means the two engines disagree about the simulation (MISMATCH).
@@ -196,10 +217,17 @@ def _engine_twin_gate(payload: dict, messages: list[str]) -> int:
     that stops failing silently stops exercising the batch engine's
     bailout path, which is exactly what these rows exist to gate
     (MISMATCH as well).
+
+    Per row family (:func:`_engine_family`), the geomean of the
+    ``mm:<name>`` rows' throughput over their object twins' must stay at
+    or above ``1 - engine_tolerance`` (REGRESSION otherwise: the array
+    engine, or the choice of engine per segment, got slower than the
+    reference it replaces).
     """
     rows = {r["component"]: r for r in payload["rows"]}
     code = OK
     checked = 0
+    families: dict[str, dict[str, float]] = {}
     for name in sorted(rows):
         if name.endswith("+fail") and not (
             (rows[name].get("counters") or {}).get("paging_failures", 0) > 0
@@ -222,11 +250,27 @@ def _engine_twin_gate(payload: dict, messages: list[str]) -> int:
                 f"{twin.get('counters')} -> {rows[name].get('counters')} "
                 "(the engines must simulate identically)"
             )
+        component = twin["component"]
+        ratio = twin["ops_per_s"] / rows[name]["ops_per_s"]
+        families.setdefault(_engine_family(component), {})[component] = ratio
     if checked and code == OK:
         messages.append(
             f"ok: {checked} engine twin(s), array and object counters "
             "identical (failure rows failing as pinned)"
         )
+    for family, ratios in sorted(families.items()):
+        geomean_ratio = _geomean(list(ratios.values()))
+        slowest = min(ratios, key=ratios.get)
+        line = (
+            f"array engine {family} throughput: {geomean_ratio:.1%} of "
+            f"object across {len(ratios)} twin(s), slowest {slowest} at "
+            f"{ratios[slowest]:.0%} (floor {1 - engine_tolerance:.0%})"
+        )
+        if geomean_ratio < 1 - engine_tolerance:
+            code = max(code, REGRESSION)
+            messages.append(f"FAIL {line}")
+        else:
+            messages.append(f"ok: {line}")
     return code
 
 
@@ -237,6 +281,7 @@ def compare(
     tolerance: float = 0.25,
     counters: str = "auto",
     probe_tolerance: float = 0.10,
+    engine_tolerance: float = 0.25,
 ) -> tuple[int, list[str]]:
     """Compare payloads of either kind; return ``(exit_code, messages)``."""
     if baseline.get("kind") != new.get("kind"):
@@ -247,7 +292,7 @@ def compare(
     if baseline.get("kind") == "bench_hotloop":
         return compare_hotloop(
             baseline, new, tolerance=tolerance, counters=counters,
-            probe_tolerance=probe_tolerance,
+            probe_tolerance=probe_tolerance, engine_tolerance=engine_tolerance,
         )
     messages: list[str] = []
     code = OK
@@ -307,6 +352,7 @@ def compare_hotloop(
     tolerance: float = 0.25,
     counters: str = "auto",
     probe_tolerance: float = 0.10,
+    engine_tolerance: float = 0.25,
 ) -> tuple[int, list[str]]:
     """Compare two ``bench_hotloop`` payloads.
 
@@ -353,7 +399,7 @@ def compare_hotloop(
             messages,
         ),
     )
-    code = max(code, _engine_twin_gate(new, messages))
+    code = max(code, _engine_twin_gate(new, engine_tolerance, messages))
     code = max(code, _probed_gate(new, probe_tolerance, messages))
     return code, messages
 
@@ -423,6 +469,13 @@ def main(argv=None) -> int:
              "new hotloop payload (default: %(default)s)",
     )
     parser.add_argument(
+        "--engine-tolerance", type=float, default=0.25,
+        help="allowed fractional shortfall of the array-engine rows' "
+             "geomean throughput against their object-engine twins, gated "
+             "per row family within the new hotloop payload "
+             "(default: %(default)s)",
+    )
+    parser.add_argument(
         "--append-history", metavar="DIR", default=None,
         help="after a passing gate, append a {ts, commit, geomean, rows} "
              "record to DIR/history.jsonl — the bench trajectory that "
@@ -438,6 +491,7 @@ def main(argv=None) -> int:
     code, messages = compare(
         baseline, new, tolerance=args.tolerance, counters=args.counters,
         probe_tolerance=args.probe_tolerance,
+        engine_tolerance=args.engine_tolerance,
     )
     for line in messages:
         print(line)
