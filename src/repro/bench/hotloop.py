@@ -55,18 +55,21 @@ slower. Each component is timed on its own fixed key stream:
 Key streams come from a tiny in-module LCG (not numpy), so every counter
 in the payload is reproducible across numpy versions and the CI gate
 (``tools/check_bench.py``) can always compare them exactly. Every
-component is timed best-of-``repeats`` on a fresh instance (the counters
-are deterministic, so repeats agree on everything but the clock), which
-keeps the ratio gates meaningful on noisy shared runners. The payload
-(``BENCH_hotloop.json``) mirrors the sweep payload's shape: ``machine`` +
-``config`` provenance, one row per component with ``ops_per_s`` and its
-deterministic counters, and a single aggregate (``geomean_ops_per_s``)
-for the throughput gate.
+component is timed ``repeats`` times on a fresh instance (the counters
+are deterministic, so repeats agree on everything but the clock). A
+row's ``ops_per_s`` is the best of the repeats, which keeps the ratio
+gates meaningful on noisy shared runners; ``ops_per_s_median`` and
+``ops_per_s_iqr`` (the interquartile range) record their spread. The
+payload (``BENCH_hotloop.json``) mirrors the sweep payload's shape:
+``machine`` + ``config`` provenance, one row per component with its
+throughput and deterministic counters, and a single aggregate
+(``geomean_ops_per_s``, over the best-of rates) for the throughput gate.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 
 import numpy as np
 
@@ -116,7 +119,7 @@ HOTLOOP_CONFIG: dict = {
     "fail_mm_seed": 2,  # mm seed for the failure rows (streams use "seed")
     "quantum": 64,  # run() length of the mm@q<quantum> rows' timed half
     "tenants": 8,  # tenant streams of the mm@t<tenants> rows (same quantum)
-    "repeats": 5,  # best-of timing repeats per component
+    "repeats": 5,  # timing repeats per component
     "seed": 0,
 }
 
@@ -171,25 +174,36 @@ def _time_loop(fn, keys) -> tuple[float, int]:
     return t.elapsed, len(keys)
 
 
-def _best_of(once, repeats: int) -> tuple[float, dict]:
-    """Run ``once() -> (elapsed, counters)`` *repeats* times; keep the
-    fastest clock. Each call builds a fresh component, so the
-    deterministic counters are identical across repeats and the minimum
-    wall time is the least-noise estimate of the hot-loop cost."""
-    best = math.inf
+def _repeat(once, repeats: int) -> tuple[list[float], dict]:
+    """Run ``once() -> (elapsed, counters)`` *repeats* times; keep every
+    clock. Each call builds a fresh component, so the deterministic
+    counters are identical across repeats."""
+    times: list[float] = []
     counters: dict = {}
     for _ in range(max(1, repeats)):
         elapsed, counters = once()
-        best = min(best, elapsed)
-    return best, counters
+        times.append(elapsed)
+    return times, counters
 
 
-def _row(component: str, ops: int, elapsed: float, counters: dict) -> dict:
+def _row(component: str, ops: int, times: list[float], counters: dict) -> dict:
+    """One payload row from every repeat's wall time. ``ops_per_s`` comes
+    from the fastest repeat, the least-noise estimate of the hot-loop cost
+    and the figure every gate reads; the median and interquartile range
+    of the per-repeat rates record the spread around it."""
+    best = min(times)
+    rates = [accesses_per_second(ops, t) for t in times]
+    iqr = 0.0
+    if len(rates) > 1:
+        q1, _, q3 = statistics.quantiles(rates, n=4, method="inclusive")
+        iqr = q3 - q1
     return {
         "component": component,
         "ops": ops,
-        "elapsed_s": elapsed,
-        "ops_per_s": accesses_per_second(ops, elapsed),
+        "elapsed_s": best,
+        "ops_per_s": accesses_per_second(ops, best),
+        "ops_per_s_median": statistics.median(rates),
+        "ops_per_s_iqr": iqr,
         "counters": counters,
     }
 
@@ -208,8 +222,8 @@ def _bench_tlb(keys, cfg) -> dict:
             "hits": tlb.hits, "misses": tlb.misses, "fills": tlb.fills
         }
 
-    elapsed, counters = _best_of(once, cfg["repeats"])
-    return _row("tlb", len(keys), elapsed, counters)
+    times, counters = _repeat(once, cfg["repeats"])
+    return _row("tlb", len(keys), times, counters)
 
 
 def _bench_cache(name: str, keys, cfg) -> dict:
@@ -223,8 +237,8 @@ def _bench_cache(name: str, keys, cfg) -> dict:
             "evictions": cache.evictions,
         }
 
-    elapsed, counters = _best_of(once, cfg["repeats"])
-    return _row(f"cache:{name}", len(keys), elapsed, counters)
+    times, counters = _repeat(once, cfg["repeats"])
+    return _row(f"cache:{name}", len(keys), times, counters)
 
 
 def _ledger_counters(ledger) -> dict:
@@ -292,8 +306,8 @@ def _bench_mm(name: str, trace, cfg) -> dict:
     def once():
         return _mm_once(name, trace, cfg, engine=cfg["mm_engine"])
 
-    elapsed, counters = _best_of(once, cfg["repeats"])
-    return _row(f"mm:{name}", len(trace), elapsed, counters)
+    times, counters = _repeat(once, cfg["repeats"])
+    return _row(f"mm:{name}", len(trace), times, counters)
 
 
 def _bench_mm_probed(name: str, trace, cfg) -> list[dict]:
@@ -320,14 +334,14 @@ def _bench_mm_probed(name: str, trace, cfg) -> list[dict]:
         (prefix, {"probe_factory": factory})
         for prefix, factory in _PROBE_VARIANTS
     ]
-    best = {prefix: math.inf for prefix, _ in variants}
+    times: dict = {prefix: [] for prefix, _ in variants}
     counters: dict = {prefix: {} for prefix, _ in variants}
     for _ in range(max(1, cfg["repeats"])):
         for prefix, kwargs in variants:
             elapsed, counters[prefix] = _mm_once(name, trace, cfg, **kwargs)
-            best[prefix] = min(best[prefix], elapsed)
+            times[prefix].append(elapsed)
     return [
-        _row(f"{prefix}:{name}", len(trace), best[prefix], counters[prefix])
+        _row(f"{prefix}:{name}", len(trace), times[prefix], counters[prefix])
         for prefix, _ in variants
     ]
 
@@ -335,22 +349,22 @@ def _bench_mm_probed(name: str, trace, cfg) -> list[dict]:
 def _engine_pair(component: str, ops: int, cfg, build, replay) -> list[dict]:
     """Time ``replay(build(engine))`` on the configured engine (the
     ``mm:`` row) and on the object engine (the ``mm@object:`` twin),
-    interleaved, best of ``repeats``.  ``build`` is untimed and returns
+    interleaved, ``repeats`` times each.  ``build`` is untimed and returns
     what ``replay`` drives (an MM or a multi-tenant sim); ``replay``
     returns the ledger the row reports.  The check_bench engine gate
     holds the twins' counters bit-identical."""
     variants = (("mm", cfg["mm_engine"]), ("mm@object", "object"))
-    best = {prefix: math.inf for prefix, _ in variants}
+    times: dict = {prefix: [] for prefix, _ in variants}
     counters: dict = {prefix: {} for prefix, _ in variants}
     for _ in range(max(1, cfg["repeats"])):
         for prefix, engine in variants:
             target = build(engine)
             with Timer() as t:
                 ledger = replay(target)
-            best[prefix] = min(best[prefix], t.elapsed)
+            times[prefix].append(t.elapsed)
             counters[prefix] = _ledger_counters(ledger)
     return [
-        _row(f"{prefix}:{component}", ops, best[prefix], counters[prefix])
+        _row(f"{prefix}:{component}", ops, times[prefix], counters[prefix])
         for prefix, _ in variants
     ]
 

@@ -28,13 +28,16 @@ resolves ``d(i) < C`` for every access with a cascade of cheap pruning
 passes, each exact:
 
 1. ``gap <= C`` is a sure hit (the window cannot hold ``C`` distinct);
-2. first occurrences are sure misses;
-3. ``D(i) - D(p) >= C`` is a sure miss (global first occurrences inside
+2. ``D(i) <= C`` is a sure hit (the window holds at most ``D(i) - 1``
+   distinct keys: every key seen before ``i`` but its own), so a stream
+   whose footprint fits the cache never gets past this step;
+3. first occurrences are sure misses;
+4. ``D(i) - D(p) >= C`` is a sure miss (global first occurrences inside
    the window are all distinct there);
-4. fixed-width sliding-window distinct counts ``DW_w`` (one ``bincount``
+5. fixed-width sliding-window distinct counts ``DW_w`` (one ``bincount``
    plus a ``cumsum`` per width) bracket ``d`` because windows nest:
    ``DW_w(i-1) <= d <= DW_w'(i-1)`` for ``w <= gap-1 <= w'``;
-5. survivors with narrow windows are scanned directly; wide survivors go
+6. survivors with narrow windows are scanned directly; wide survivors go
    through a blocked dominance grid (2-D prefix-sum checkpoint matrix)
    with per-block edge scans.
 
@@ -331,15 +334,25 @@ class StreamKernel:
     # ------------------------------------------------------------ API
 
     def hit_mask(self, C: int) -> np.ndarray:
-        """Boolean hit mask per position (prefix pseudo-accesses included)."""
+        """Boolean hit mask per position (prefix pseudo-accesses included).
+
+        A repeat is a sure hit when its gap or its footprint ``D(i)`` is at
+        most ``C``; the pruning cascade in the module docstring resolves
+        the rest.  The footprint bound holds at any capacity queried, the
+        windowed warm start's ``C - |U|`` included.
+        """
         got = self._hit.get(C)
         if got is not None:
             return got
         prev = self.prev
         gap = self._pos - prev  # prev = -1 gives gap = i + 1
         nonfirst = prev >= 0
-        hit = nonfirst & (gap <= C)
-        amb = np.flatnonzero(nonfirst & (gap > C)).astype(np.int32)
+        sure = gap <= C
+        # D is nondecreasing, so the footprint bound D(i) <= C holds on a
+        # prefix of the stream
+        sure[: np.searchsorted(self.D, C, side="right")] = True
+        hit = nonfirst & sure
+        amb = np.flatnonzero(nonfirst & ~sure).astype(np.int32)
         if amb.size:
             d_lb = self.D[amb] - self.D[prev[amb]]
             amb = amb[d_lb < C]
@@ -812,8 +825,11 @@ _HANDLERS = {
 #: ceiling as equal pieces no longer than it (a kernel's dominance grid
 #: grows with the square of its length).  The decoupled schemes get a
 #: higher ceiling because ``DecouplingScheme.apply_events`` folds each
-#: page's ψ state once per call.  Floors fitted on warm calls of 64 to
-#: 25,000 accesses and on 8-tenant span replays (the hotloop ``@t8`` rows).
+#: page's ψ state once per call.  Floors fitted on warm machines replaying
+#: the hotloop preset's second half in calls of 64, 256, 1,024, 4,096 and
+#: 25,000 accesses, with each crossover re-checked between its grid points
+#: (base-page between 4,096 and 8,192), and on 8-tenant span replays (the
+#: hotloop ``@t8`` rows).
 #: Keyed like :data:`_HANDLERS` (a unit test holds the two to the same
 #: classes).
 _LIMITS = {

@@ -562,3 +562,52 @@ class TestEngineRatioGate:
         code, messages = check_bench.compare(_engine_pair_payload(), new)
         assert code == check_bench.MISMATCH
         assert any(m.startswith("FAIL mm@object:base-page@q64:") for m in messages)
+
+
+def _with_spread(payload, median=0.9, iqr=0.05):
+    """*payload* with every row's spread stored, as fractions of its
+    best-of ``ops_per_s``."""
+    payload = copy.deepcopy(payload)
+    for row in payload["rows"]:
+        row["ops_per_s_median"] = row["ops_per_s"] * median
+        row["ops_per_s_iqr"] = row["ops_per_s"] * iqr
+    return payload
+
+
+class TestSpreadLines:
+    """Each gated family's row pairs are printed with their spread; the
+    spread is reported only, so payloads without it compare as before."""
+
+    def test_engine_family_rows_print_with_their_spread(self):
+        new = _with_spread(_engine_pair_payload(0.9, hybrid_q64=1.0))
+        code, messages = check_bench.compare(_engine_pair_payload(hybrid_q64=1.0), new)
+        assert code == check_bench.OK
+        verdict = next(i for i, m in enumerate(messages) if m.startswith("ok: array engine @q"))
+        assert messages[verdict + 1 : verdict + 3] == [
+            "  mm:base-page@q64 270.0 (median 243.0, IQR 13.5) vs "
+            "mm@object:base-page@q64 300.0 (median 270.0, IQR 15.0) kops/s",
+            "  mm:hybrid@q64 300.0 (median 270.0, IQR 15.0) vs "
+            "mm@object:hybrid@q64 300.0 (median 270.0, IQR 15.0) kops/s",
+        ]
+
+    def test_probe_family_rows_print_with_their_spread(self):
+        new = _with_spread(_probed_payload(ratio=0.95))
+        code, messages = check_bench.compare(_probed_payload(ratio=0.95), new)
+        assert code == check_bench.OK
+        assert (
+            "  mm+sampled:thp 570.0 (median 513.0, IQR 28.5) vs "
+            "mm:thp 600.0 (median 540.0, IQR 30.0) kops/s"
+        ) in messages
+
+    def test_baseline_without_the_spread_still_compares(self, tmp_path):
+        base = tmp_path / "base.json"
+        fresh = tmp_path / "fresh.json"
+        payload = _engine_pair_payload(0.9)
+        payload["rows"] += _probed_payload()["rows"][2:]
+        base.write_text(json.dumps(payload))
+        fresh.write_text(json.dumps(_with_spread(payload)))
+        assert check_bench.main([str(base), str(fresh)]) == check_bench.OK
+        # and a payload without it prints the best-of rates alone
+        code, messages = check_bench.compare(payload, payload)
+        assert code == check_bench.OK
+        assert "  mm:base-page@q64 270.0 vs mm@object:base-page@q64 300.0 kops/s" in messages

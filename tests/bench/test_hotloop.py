@@ -180,3 +180,22 @@ class TestBenchHotloop:
             assert r["ops"] > 0
             assert r["elapsed_s"] >= 0
             assert r["ops_per_s"] >= 0
+            # the spread of the repeats: the median never beats the best
+            assert 0 <= r["ops_per_s_median"] <= r["ops_per_s"], r["component"]
+            assert r["ops_per_s_iqr"] >= 0, r["component"]
+
+
+class TestRowSpread:
+    def test_row_keeps_best_of_and_adds_median_and_iqr(self):
+        # 1000 ops in 1, 2, 4, 5 and 10 ms: 1000, 500, 250, 200, 100 k/s
+        row = hotloop._row("tlb", 1000, [0.004, 0.001, 0.01, 0.002, 0.005], {})
+        assert row["elapsed_s"] == 0.001
+        assert row["ops_per_s"] == pytest.approx(1_000_000)
+        assert row["ops_per_s_median"] == pytest.approx(250_000)
+        # inclusive quartiles of the rates: 200 k and 500 k
+        assert row["ops_per_s_iqr"] == pytest.approx(300_000)
+
+    def test_single_repeat_has_no_spread(self):
+        row = hotloop._row("tlb", 1000, [0.002], {})
+        assert row["ops_per_s"] == row["ops_per_s_median"] == pytest.approx(500_000)
+        assert row["ops_per_s_iqr"] == 0

@@ -7,7 +7,9 @@ and clocks, so that a trace can switch engines mid-stream at any segment
 boundary. These tests pin that promise:
 
 * :class:`StreamKernel` against a brute-force LRU oracle (hits, victims
-  in order, final residents) across randomized small streams;
+  in order, final residents) across randomized small streams, a
+  Hypothesis property near the capacity, and streams whose footprint is
+  exactly the capacity or one past it (the footprint bound);
 * full deep-state parity for every covered algorithm on cold, segmented,
   and warm-reset replays;
 * the write-back dirty bit carried across segment boundaries;
@@ -29,6 +31,8 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bench import figure1_workload, make_physical_mm
 from repro.bench.hotloop import FAILURE_MMS, HOTLOOP_CONFIG, key_stream
@@ -187,6 +191,127 @@ class TestStreamKernel:
             array_engine._apply_delta(order, departed, moved)
             assert list(order) == residents, trial
         assert windowed > 100
+
+    # A repeat at position i is a sure hit once D(i) <= C: its window
+    # holds at most D(i) - 1 distinct keys.  These tests pin the bound
+    # exact at and just past the footprint C, and pin that a stream
+    # whose footprint fits resolves before the ladder, scan and grid.
+
+    @staticmethod
+    def _spy_later_stages(monkeypatch) -> list:
+        """Record every call of the stages after the footprint bound."""
+        calls = []
+        for stage in ("_ladder_bounds", "_scan_exact", "_prepare_grid"):
+            real = getattr(StreamKernel, stage)
+
+            def spy(self, *args, _stage=stage, _real=real):
+                calls.append(_stage)
+                return _real(self, *args)
+
+            monkeypatch.setattr(StreamKernel, stage, spy)
+        return calls
+
+    def test_footprint_at_capacity_skips_the_later_stages(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        cap = 64
+        seg = rng.integers(0, cap, 20_000).astype(np.int64)
+        kern = StreamKernel(seg)
+        # without the bound, more than _DENSE_AMB repeats would pass the
+        # gap and D-difference tests and reach the ladder
+        prev = kern.prev
+        pending = np.flatnonzero((prev >= 0) & (kern._pos - prev > cap))
+        pending = pending[kern.D[pending] - kern.D[prev[pending]] < cap]
+        assert pending.size > array_engine._DENSE_AMB
+        calls = self._spy_later_stages(monkeypatch)
+        hits, victims, residents = _lru_oracle(seg.tolist(), (), cap)
+        assert kern.hit_mask(cap).tolist() == hits
+        assert kern.keys[kern.deaths(cap)].tolist() == victims
+        assert kern.residents_at(cap, kern.n).tolist() == residents
+        assert calls == []
+
+    def test_cyclic_scan_one_past_capacity_misses_every_repeat(self):
+        # every repeat's stack distance is exactly C
+        cap = 64
+        seg = np.tile(np.arange(cap + 1, dtype=np.int64), 80)
+        kern = StreamKernel(seg)
+        hits, victims, residents = _lru_oracle(seg.tolist(), (), cap)
+        assert not any(hits)
+        assert kern.hit_mask(cap).tolist() == hits
+        assert kern.keys[kern.deaths(cap)].tolist() == victims
+        assert kern.residents_at(cap, kern.n).tolist() == residents
+
+    def test_hot_keys_and_one_shot_cold_keys_one_past_capacity(self):
+        # a uniform hot set plus one-shot cold keys scattered through a
+        # short stretch: the hot keys the stretch leaves untouched recur
+        # after it at stack distance exactly C
+        rng = np.random.default_rng(29)
+        cap, cold, n = 64, 24, 6_000
+        hot = cap + 1 - cold
+        seg = rng.integers(0, hot, n).astype(np.int64)
+        stretch = np.arange(n // 2, n // 2 + 2 * cold)
+        seg[np.sort(rng.choice(stretch, cold, replace=False))] = hot + np.arange(cold)
+        assert np.unique(seg).size == cap + 1
+        kern = StreamKernel(seg)
+        hits, victims, residents = _lru_oracle(seg.tolist(), (), cap)
+        assert hits.count(False) > cap + 1  # some repeats miss
+        assert kern.hit_mask(cap).tolist() == hits
+        assert kern.keys[kern.deaths(cap)].tolist() == victims
+        assert kern.residents_at(cap, kern.n).tolist() == residents
+
+    def test_windowed_warm_start_whose_footprint_fits(self, monkeypatch):
+        # 280 of 300 slots full; a 100-access segment touches residents
+        # and 20 new keys, so the windowed kernel's footprint fits its
+        # capacity C - |U| exactly
+        rng = np.random.default_rng(31)
+        cap, resident, n = 300, 280, 100
+        prefix = rng.permutation(1000)[:resident].tolist()
+        fresh = sorted(set(range(1000)) - set(prefix))[:20]
+        seg = rng.choice(prefix[:150] + fresh, n).astype(np.int64)
+        seg[:20] = fresh
+        order = OrderedDict.fromkeys(prefix)
+        window, C = array_engine._warm_window(order, seg, cap)
+        kern = StreamKernel(seg, window)
+        assert kern.R < resident
+        assert int(kern.D[-1]) == C
+        calls = self._spy_later_stages(monkeypatch)
+        hits, victims, residents = _lru_oracle(seg.tolist(), prefix, cap)
+        assert kern.hit_mask(C)[kern.R :].tolist() == hits
+        assert kern.keys[kern.deaths(C)].tolist() == victims == []
+        array_engine._apply_delta(order, *(a.tolist() for a in kern.order_delta(C)))
+        assert list(order) == residents
+        assert calls == []
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_property_matches_oracle_near_capacity(self, data):
+        # universes within 2 of the capacity, one-shot keys, warm
+        # prefixes, and short segments whose kernel is windowed
+        cap = data.draw(st.integers(1, 40), label="cap")
+        universe = max(1, cap + data.draw(st.integers(-2, 2), label="skew"))
+        short = data.draw(st.booleans(), label="short")
+        seg = data.draw(
+            st.lists(
+                st.integers(0, universe - 1),
+                min_size=1 if short else cap + 1,
+                max_size=max(1, cap // 2) if short else 6 * cap,
+            ),
+            label="seg",
+        )
+        one_shots = data.draw(st.integers(0, 3), label="one_shots")
+        for key in range(universe + 4, universe + 4 + one_shots):
+            seg.insert(data.draw(st.integers(0, len(seg))), key)
+        # residents may include keys the segment never touches
+        pool = data.draw(st.permutations(range(universe + 4)), label="pool")
+        prefix = pool[: data.draw(st.integers(0, cap), label="resident")]
+        order = OrderedDict.fromkeys(prefix)
+        keys = np.asarray(seg, dtype=np.int64)
+        window, C = array_engine._warm_window(order, keys, cap)
+        kern = StreamKernel(keys, window)
+        hits, victims, residents = _lru_oracle(seg, prefix, cap)
+        assert kern.hit_mask(C)[kern.R :].tolist() == hits
+        assert kern.keys[kern.deaths(C)].tolist() == victims
+        array_engine._apply_delta(order, *(a.tolist() for a in kern.order_delta(C)))
+        assert list(order) == residents
 
 
 # ------------------------------------------------------- engine parity

@@ -53,6 +53,12 @@ twins are timed interleaved, like the probed rows, so slow drift in
 machine speed cancels out of the ratio, and the geomean absorbs the
 noise of single rows.
 
+Under each probe-gated and engine-gated verdict the gate prints the
+family's row pairs with their spread: the best-of ``ops_per_s`` the
+gates read, then the median and interquartile range of the repeats
+(``ops_per_s_median`` / ``ops_per_s_iqr``) when the payload stores them.
+The spread is reported only; no gate reads it.
+
 Stdlib-only on purpose: the gate runs before (and independent of) the
 package itself.
 """
@@ -148,6 +154,28 @@ def _geomean(ratios: list[float]) -> float:
     return math.exp(sum(math.log(r) for r in ratios) / len(ratios))
 
 
+def _rate(row: dict) -> str:
+    """A row's throughput in kops/s: the best of its repeats, then their
+    median and interquartile range (payloads from before the spread was
+    stored show the best alone)."""
+    text = f"{row['ops_per_s'] / 1e3:.1f}"
+    if "ops_per_s_median" in row:
+        text += (
+            f" (median {row['ops_per_s_median'] / 1e3:.1f}, "
+            f"IQR {row['ops_per_s_iqr'] / 1e3:.1f})"
+        )
+    return text
+
+
+def _pair_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
+    """One indented line per ``(row, twin)`` pair with both spreads."""
+    return [
+        f"  {row['component']} {_rate(row)} vs "
+        f"{twin['component']} {_rate(twin)} kops/s"
+        for row, twin in pairs
+    ]
+
+
 def _probed_gate(
     payload: dict, probe_tolerance: float, messages: list[str]
 ) -> int:
@@ -192,6 +220,7 @@ def _probed_gate(
             code = max(code, REGRESSION)
         else:
             messages.append(f"ok: {line}")
+        messages += _pair_lines([(probed, plain) for _, plain, probed in pairs])
     return code
 
 
@@ -271,6 +300,9 @@ def _engine_twin_gate(
             messages.append(f"FAIL {line}")
         else:
             messages.append(f"ok: {line}")
+        messages += _pair_lines(
+            [(rows[c], rows[c.replace("mm:", "mm@object:", 1)]) for c in sorted(ratios)]
+        )
     return code
 
 
