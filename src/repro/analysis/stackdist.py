@@ -7,71 +7,98 @@ access faults in an LRU cache of capacity ``c`` iff its distance exceeds
 behind every "what if RAM were bigger" question in the paper's cost model,
 and a cross-check for :class:`~repro.paging.PageCache` with LRU.
 
-Implementation: the classic Fenwick-tree-over-timestamps algorithm,
-O(n log n) time, O(n) space.
+Implementation: everything is read off the previous-occurrence links
+``prev`` (:func:`prev_occurrence`, shared with the array engine's
+:class:`~repro.mmu.array_engine.StreamKernel` and the working-set code).
+With ``p = prev[i]``, the distance is the number of ``j`` in ``(p, i)``
+whose own previous occurrence lies at or before ``p``; every ``j <= p``
+qualifies, so ``d(i) = #{j < i : prev[j] <= p} - (p + 1)``, a prefix-rank
+query that a wavelet matrix over ``prev`` answers for every access at
+once: O(n log n) time in ``log2 n`` vectorized passes, O(n) space.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stack_distances", "lru_miss_curve", "COLD"]
+__all__ = ["stack_distances", "lru_miss_curve", "prev_occurrence", "COLD"]
 
 #: Stack distance reported for first-ever (compulsory) accesses.
 COLD = -1
 
 
-class _Fenwick:
-    """Prefix-sum tree over n slots (1-indexed internally)."""
+def prev_occurrence(keys) -> np.ndarray:
+    """``prev[i]``: the last position ``j < i`` with ``keys[j] == keys[i]``,
+    or ``-1`` for a first occurrence (int32).
 
-    __slots__ = ("n", "tree")
-
-    def __init__(self, n: int) -> None:
-        self.n = n
-        self.tree = np.zeros(n + 1, dtype=np.int64)
-
-    def add(self, i: int, delta: int) -> None:
-        i += 1
-        tree = self.tree
-        n = self.n
-        while i <= n:
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        """Sum of slots [0, i]."""
-        i += 1
-        tree = self.tree
-        total = 0
-        while i > 0:
-            total += int(tree[i])
-            i -= i & (-i)
-        return total
+    One sort of the composite ``key * n + position``, in int32 when it
+    fits.  Keys that are negative or too large for an int64 composite are
+    ranked densely first, which leaves every link unchanged.
+    """
+    keys = np.asarray(keys, dtype=np.int64)
+    n = keys.size
+    maxkey = int(keys.max()) + 1 if n else 1
+    if n and (maxkey * n > 2**63 or keys.min() < 0):
+        keys = np.unique(keys, return_inverse=True)[1].reshape(-1)
+        maxkey = int(keys.max()) + 1
+    dt = np.int32 if maxkey * n + n < 2**31 else np.int64
+    comp = keys.astype(dt) * dt(n) + np.arange(n, dtype=dt)
+    comp.sort()
+    skey = comp // dt(n)
+    spos = (comp - skey * dt(n)).astype(np.int32)
+    prev = np.full(n, -1, dtype=np.int32)
+    w = (skey[1:] == skey[:-1]).nonzero()[0]
+    prev[spos[w + 1]] = spos[w]
+    return prev
 
 
-def stack_distances(trace) -> np.ndarray:
+def _count_smaller_before(v: np.ndarray) -> np.ndarray:
+    """``r[i] = #{j < i : v[j] < v[i]}`` for a non-negative int32 array.
+
+    A wavelet matrix, one level per bit from the top: each level counts,
+    for every element whose bit is 1, the elements before it in its group
+    (same higher bits) whose bit is 0, then stably partitions all elements
+    by the bit, zeros first.  A slot holds ``value << 32 | index``, so one
+    gather moves both; ``start`` is the slot where its group begins.
+    """
+    n = v.size
+    slots = (v.astype(np.int64) << 32) | np.arange(n)
+    rank = np.zeros(n, dtype=np.int32)
+    start = np.zeros(n, dtype=np.int32)
+    for b in reversed(range(int(v.max(initial=0)).bit_length())):
+        one = (slots & (1 << (b + 32))) != 0
+        zero = ~one
+        incl = zero.cumsum(dtype=np.int32)
+        before = incl - zero  # zeros in the slots before each slot
+        zs = before[start]
+        rank += (before - zs) * one
+        start = np.where(one, incl[-1] - zs + start, zs)
+        perm = one.argsort(kind="stable")
+        slots, rank, start = slots[perm], rank[perm], start[perm]
+    out = np.empty(n, dtype=np.int32)
+    out[slots & 0xFFFFFFFF] = rank
+    return out
+
+
+def stack_distances(trace, prefix=()) -> np.ndarray:
     """LRU stack distance of every access (``COLD`` = first touch).
 
     A distance of ``d`` means ``d`` distinct *other* pages were touched
     since the previous access to this page, so the access hits in any LRU
     cache of capacity > d (i.e. capacity >= d+1).
+
+    *prefix* is a warm LRU order, oldest first: its keys count as touched
+    before the trace, so a trace access to one of them gets a distance
+    instead of ``COLD``.  Only the trace's distances are returned.
     """
-    trace = [int(p) for p in trace]
-    n = len(trace)
-    out = np.empty(n, dtype=np.int64)
-    fen = _Fenwick(n)
-    last_pos: dict[int, int] = {}
-    for t, page in enumerate(trace):
-        prev = last_pos.get(page)
-        if prev is None:
-            out[t] = COLD
-        else:
-            # distinct pages touched in (prev, t) = live markers after prev
-            out[t] = fen.prefix(t - 1) - fen.prefix(prev)
-            fen.add(prev, -1)  # move this page's marker to position t
-        fen.add(t, 1)
-        last_pos[page] = t
-    return out
+    keys = np.asarray(trace, dtype=np.int64)
+    R = len(prefix)
+    if R:
+        keys = np.concatenate((np.asarray(prefix, dtype=np.int64), keys))
+    v = prev_occurrence(keys) + np.int32(1)
+    d = _count_smaller_before(v) - v
+    d[v == 0] = COLD
+    return d[R:].astype(np.int64)
 
 
 def lru_miss_curve(trace, capacities) -> dict[int, int]:

@@ -12,34 +12,48 @@ from __future__ import annotations
 import numpy as np
 
 from .._util import check_positive_int
+from .stackdist import prev_occurrence
 
-__all__ = ["working_set_sizes", "average_working_set", "working_set_profile"]
+__all__ = [
+    "working_set_sizes",
+    "average_working_set",
+    "working_set_profile",
+    "window_distinct",
+]
+
+
+def window_distinct(prev: np.ndarray, w: int) -> np.ndarray:
+    """``DW[j]`` = #distinct keys in ``[max(0, j-w+1), j]`` (int32), from
+    the previous-occurrence links *prev* of a stream
+    (:func:`~repro.analysis.stackdist.prev_occurrence`).
+
+    Position ``j`` is the first in-window occurrence of its key for
+    window ends in ``[max(j, prev[j]+w), j+w)``; the window-end markers
+    ``j+w`` form a shifted identity, so one bincount of the starts plus a
+    ramp subtraction gives the whole array.
+    """
+    n = prev.size
+    w = min(w, max(n, 1))  # a wider window is clipped at 0 for every end
+    pos = np.arange(n, dtype=np.int32)
+    # first occurrences count for every window end >= j (their prev is
+    # outside any window); repeats only once the window end passes
+    # prev[j] + w
+    starts = np.where(prev >= 0, np.maximum(pos, prev + np.int32(w)), pos)
+    b = np.bincount(starts, minlength=n)[:n]
+    got = np.cumsum(b, dtype=np.int32)
+    ramp = pos - np.int32(w - 1)
+    np.subtract(got, np.maximum(ramp, np.int32(0)), out=got)
+    return got
 
 
 def working_set_sizes(trace, tau: int) -> np.ndarray:
     """``|W(t, τ)|`` for every ``t`` in ``[0, n)`` (windows clipped at 0).
 
-    One O(n) sliding-window pass using per-page reference counts.
+    One :func:`window_distinct` pass over the trace's previous-occurrence
+    links.
     """
     check_positive_int(tau, "tau")
-    trace = [int(p) for p in trace]
-    n = len(trace)
-    sizes = np.empty(n, dtype=np.int64)
-    counts: dict[int, int] = {}
-    distinct = 0
-    for t, page in enumerate(trace):
-        c = counts.get(page, 0)
-        if c == 0:
-            distinct += 1
-        counts[page] = c + 1
-        if t >= tau:
-            old = trace[t - tau]
-            c = counts[old] - 1
-            counts[old] = c
-            if c == 0:
-                distinct -= 1
-        sizes[t] = distinct
-    return sizes
+    return window_distinct(prev_occurrence(trace), tau).astype(np.int64)
 
 
 def average_working_set(trace, tau: int) -> float:

@@ -77,6 +77,8 @@ from itertools import islice
 
 import numpy as np
 
+from ..analysis.stackdist import prev_occurrence
+from ..analysis.workingset import window_distinct
 from ..paging import LRUPolicy, PageCache
 from ..tlb import TLB
 from .classical import BasePageMM
@@ -129,26 +131,15 @@ class StreamKernel:
         else:
             allkeys = keys
         self.keys = allkeys
-        maxkey = int(allkeys.max()) + 1 if n else 1
-        dt = np.int32 if maxkey * n + n < 2**31 else np.int64
-        ak = allkeys.astype(dt)
-        pos = np.arange(n, dtype=dt)
-        comp = ak * dt(n) + pos
-        comp.sort()
-        skey = comp // dt(n)
-        spos = (comp - skey * dt(n)).astype(np.int32)
-        prev = np.full(n, -1, dtype=np.int32)
-        w = np.flatnonzero(skey[1:] == skey[:-1])
-        prev[spos[w + 1]] = spos[w]
+        self.prev = prev = prev_occurrence(allkeys)
         nxt = np.full(n, n, dtype=np.int32)
         ii = np.flatnonzero(prev >= 0).astype(np.int32)
         nxt[prev[ii]] = ii
-        self.prev = prev
         self.nxt = nxt
         # D[i] = #global first occurrences in [0, i]; for a non-first
         # position i this equals the number of distinct keys in [0, i).
         self.D = np.cumsum(prev < 0, dtype=np.int32)
-        self._pos = pos if dt is np.int32 else pos.astype(np.int32)
+        self._pos = np.arange(n, dtype=np.int32)
         # long streams get coarser grid blocks: the checkpoint matrix
         # shrinks 4x while the per-query edge scans stay cheap
         self._bt = self._bv = _BT if n < (1 << 17) else 2 * _BT
@@ -160,29 +151,11 @@ class StreamKernel:
     # ------------------------------------------------------- DW ladder
 
     def _dw_width(self, w: int) -> np.ndarray:
-        """``DW_w[j]`` = #distinct keys in ``[max(0, j-w+1), j]``.
-
-        Position ``j`` is the first in-window occurrence of its key for
-        window ends in ``[max(j, prev[j]+w), j+w)``; the window-end
-        markers ``j+w`` form a shifted identity, so one bincount of the
-        starts plus a ramp subtraction gives the whole array.
-        """
+        """``DW_w[j]`` = #distinct keys in ``[max(0, j-w+1), j]``
+        (:func:`~repro.analysis.workingset.window_distinct`), per width."""
         got = self._dw.get(w)
         if got is None:
-            n = self.n
-            # first occurrences count for every window end >= j (their
-            # prev is outside any window); repeats only once the window
-            # end passes prev[j] + w
-            starts = np.where(
-                self.prev >= 0,
-                np.maximum(self._pos, self.prev + np.int32(w)),
-                self._pos,
-            )
-            b = np.bincount(starts, minlength=n)[:n]
-            got = np.cumsum(b, dtype=np.int32)
-            ramp = self._pos - np.int32(w - 1)
-            np.subtract(got, np.maximum(ramp, np.int32(0)), out=got)
-            self._dw[w] = got
+            got = self._dw[w] = window_distinct(self.prev, w)
         return got
 
     def _ladder_bounds(self, amb: np.ndarray, gap: np.ndarray, C: int):
@@ -645,7 +618,7 @@ def _run_writeback(mm, trace: np.ndarray):
     if deaths.size and sk is not None:
         # previous eviction of each victim's key: its latest earlier
         # death, via the prev-chain of the death sub-stream
-        dchain = StreamKernel(kern.keys[deaths]).prev
+        dchain = prev_occurrence(kern.keys[deaths])
         flush = np.where(dchain >= 0, deaths[np.maximum(dchain, 0)], -1)
         sk_flush = np.where(flush >= 0, sk[np.maximum(flush, 0)], 0)
         # a death position is the victim's final pre-eviction access, so

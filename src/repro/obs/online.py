@@ -9,10 +9,14 @@ stream can be characterized while it plays, and live telemetry
 (:mod:`repro.obs.live`) can report reuse structure mid-run.
 
 Both probes declare ``batch_safe = True`` and consume :meth:`on_batch`
-only, so the vectorized fast paths in ``mmu/hugepage|decoupled|hybrid|thp``
-stay enabled under them (the same contract as
+only, so :meth:`~repro.mmu.base.MemoryManagementAlgorithm.run` keeps its
+segments on the array engine under them (the same contract as
 :class:`~repro.obs.sampling.SamplingProbe`, and gated by the same
-``check_bench.py --probe-tolerance`` floor).
+``check_bench.py --probe-tolerance`` floor).  Each batch is a handful of
+numpy passes over the offline tools' own primitives:
+:func:`~repro.analysis.workingset.window_distinct` over the carried window
+plus the batch, and :func:`~repro.analysis.stackdist.stack_distances` over
+the batch with the live keys it touches as prefix.
 
 Fidelity contract (pinned by ``tests/obs/test_online.py`` over the golden
 streams):
@@ -32,17 +36,18 @@ streams):
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .._util import check_positive_int
+from ..analysis.stackdist import COLD, prev_occurrence, stack_distances
+from ..analysis.workingset import window_distinct
 from .events import Probe
 from .hist import LogHistogram
 from .sampling import _MASK64, _splitmix64_many, splitmix64
 
 __all__ = ["OnlineWorkingSet", "OnlineStackDistance"]
-
-#: smallest Fenwick capacity OnlineStackDistance allocates after a compaction.
-_MIN_FENWICK = 1024
 
 
 def _hash_threshold(rate: float) -> int | None:
@@ -59,6 +64,18 @@ def _hash_threshold(rate: float) -> int | None:
     return min(_MASK64, int(rate * 2.0**64))
 
 
+def _tracked(vpns: np.ndarray, salt: int, threshold: int) -> np.ndarray:
+    """Hashed-VPN mask: ``splitmix64(v ⊕ salt) < threshold`` per VPN."""
+    keys = vpns.astype(np.uint64) ^ np.uint64(salt)
+    return _splitmix64_many(keys) < np.uint64(threshold)
+
+
+def _record(hist: LogHistogram, values: np.ndarray) -> None:
+    """Record every value in *values*, one ``record`` per distinct value."""
+    for v, c in Counter(values.tolist()).items():
+        hist.record(v, c)
+
+
 class OnlineWorkingSet(Probe):
     """Streaming Denning working-set sizes ``|W(t, τ)|``.
 
@@ -71,14 +88,14 @@ class OnlineWorkingSet(Probe):
     sample_every:
         Evaluate the window at every ``sample_every``-th access (those
         ``t`` with ``(t+1) % sample_every == 0``). ``1`` evaluates every
-        access (exact offline parity); production streams use a large
-        stride so the per-window ``np.unique`` stays off the hot path.
+        access (exact offline parity).
     rate, seed:
         Hashed-VPN sampling: distinct *tracked* pages in the window,
         scaled by ``round(1/rate)``. ``rate=1`` counts every page.
 
-    State is one carry buffer of the last ``τ − 1`` VPNs plus the
-    histogram — independent of stream length.
+    State is one carry buffer of the last ``τ − 1`` VPNs (and, when
+    sampling, which of them are tracked) plus the histogram — independent
+    of stream length.
     """
 
     __slots__ = (
@@ -93,6 +110,7 @@ class OnlineWorkingSet(Probe):
         "_threshold",
         "_scale",
         "_carry",
+        "_carry_tracked",
         "_t",
     )
 
@@ -117,6 +135,7 @@ class OnlineWorkingSet(Probe):
         self.windows = 0
         self.tracked_accesses = 0
         self._carry = np.empty(0, dtype=np.int64)
+        self._carry_tracked = np.empty(0, dtype=bool)
         self._t = 0
         self.reset()
 
@@ -128,6 +147,7 @@ class OnlineWorkingSet(Probe):
         self.windows = 0
         self.tracked_accesses = 0
         self._carry = np.empty(0, dtype=np.int64)
+        self._carry_tracked = np.empty(0, dtype=bool)
         self._t = 0
 
     def on_phase(self, t: int, name: str) -> None:
@@ -142,48 +162,37 @@ class OnlineWorkingSet(Probe):
         if n == 0:
             return
         m = self._carry.size
-        concat = np.concatenate((self._carry, arr)) if m else arr
-        if self._threshold is None:
-            mask = None
-            self.tracked_accesses += n
-        else:
-            keys = concat.astype(np.uint64) ^ np.uint64(self._salt)
-            mask = _splitmix64_many(keys) < np.uint64(self._threshold)
-            self.tracked_accesses += int(mask[m:].sum())
-        hist = self.hists["working_set"]
+        concat = np.concatenate((self._carry, arr))
+        cut = max(0, concat.size - self.tau + 1)  # the next carry's start
         # t = self._t + p is sampled iff (t+1) % sample_every == 0
         first = (-(self._t + 1)) % self.sample_every
-        if mask is None:
-            for p in range(first, n, self.sample_every):
-                pos = m + p
-                lo = max(0, pos - self.tau + 1)
-                win = concat[lo : pos + 1]
-                hist.record(int(np.unique(win).size) * self._scale)
-                self.windows += 1
-        elif first < n:
-            # Sampled case: windows only see tracked positions, so compress
-            # to the tracked substream once and resolve each window to a
-            # substream span via searchsorted — tiny python sets instead of
-            # tau-length slices keep this off the hot path.
-            tracked_pos = np.nonzero(mask)[0]
-            tracked_vals = concat[tracked_pos].tolist()
-            ps = np.arange(m + first, m + n, self.sample_every)
-            los = np.maximum(0, ps - self.tau + 1)
-            starts = np.searchsorted(tracked_pos, los, side="left")
-            stops = np.searchsorted(tracked_pos, ps, side="right")
-            scale = self._scale
-            for a, b in zip(starts.tolist(), stops.tolist()):
-                hist.record(len(set(tracked_vals[a:b])) * scale)
-            self.windows += len(ps)
+        ends = np.arange(m + first, m + n, self.sample_every)
+        if self._threshold is None:
+            self.tracked_accesses += n
+            if ends.size:
+                sizes = window_distinct(prev_occurrence(concat), self.tau)[ends]
+        else:
+            fresh = _tracked(arr, self._salt, self._threshold)
+            self.tracked_accesses += int(np.count_nonzero(fresh))
+            tracked = np.concatenate((self._carry_tracked, fresh))
+            if ends.size:
+                # over the tracked positions only: their links are exact
+                # (tracking is per VPN), and a tracked position counts for
+                # the window ends in [max(j, prev + tau), j + tau)
+                tp = tracked.nonzero()[0]
+                link = prev_occurrence(concat[tp])
+                enter = np.where(link >= 0, np.maximum(tp, tp[link] + self.tau), tp)
+                enter.sort()
+                leave = tp + self.tau
+                sizes = enter.searchsorted(ends, "right") - leave.searchsorted(
+                    ends, "right"
+                )
+            self._carry_tracked = tracked[cut:].copy()
+        if ends.size:
+            _record(self.hists["working_set"], sizes.astype(np.int64) * self._scale)
+            self.windows += ends.size
         self._t += n
-        # max(0, ...): a negative start would *wrap* and silently drop the
-        # stream head while concat is still shorter than the carry window
-        keep = self.tau - 1
-        self._carry = (
-            concat[max(0, concat.size - keep) :].copy()
-            if keep
-            else concat[:0]
-        )
+        self._carry = concat[cut:].copy()
 
     # -------------------------------------------------------------- summaries
 
@@ -209,13 +218,15 @@ class OnlineWorkingSet(Probe):
 class OnlineStackDistance(Probe):
     """Streaming Mattson/LRU stack distances over a sampled page population.
 
-    The same Fenwick-tree-over-timestamps recurrence as
-    :func:`~repro.analysis.stackdist.stack_distances`, made streaming: the
-    tree is periodically *compacted* — live markers (one per tracked
-    distinct page) are renumbered in timestamp order into a fresh tree —
-    so memory is O(distinct tracked pages), not O(stream length), and
-    prefix-sum *differences* (the distances) are untouched because
-    compaction preserves marker order and only removes dead slots.
+    Each batch is one :func:`~repro.analysis.stackdist.stack_distances`
+    call over its tracked accesses, with the live pages it touches as the
+    prefix, oldest first.  A distance that reaches back into that prefix
+    must also count the live pages the batch leaves untouched but that
+    were seen after the page's own last touch; one ``searchsorted`` on the
+    sorted array of live stamps counts them.  State is one stamp (the
+    index of its last tracked access) per tracked distinct page, kept in
+    ``_last_seen`` and in that array: O(distinct tracked pages), not
+    O(stream length), and a batch costs O(batch) beyond copying the array.
 
     With ``rate < 1`` this is the SHARDS estimator: distances are computed
     among tracked pages only and scaled by ``1/rate`` before recording.
@@ -232,8 +243,7 @@ class OnlineStackDistance(Probe):
         "_salt",
         "_threshold",
         "_last_seen",
-        "_tree",
-        "_cap",
+        "_stamps",
         "_n",
     )
 
@@ -248,8 +258,7 @@ class OnlineStackDistance(Probe):
         self.cold_accesses = 0
         self.tracked_accesses = 0
         self._last_seen: dict[int, int] = {}
-        self._tree: list[int] = []
-        self._cap = 0
+        self._stamps = np.empty(0, dtype=np.int64)
         self._n = 0
         self.reset()
 
@@ -261,97 +270,55 @@ class OnlineStackDistance(Probe):
         self.cold_accesses = 0
         self.tracked_accesses = 0
         self._last_seen = {}
-        self._cap = _MIN_FENWICK
-        self._tree = [0] * (self._cap + 1)
+        self._stamps = np.empty(0, dtype=np.int64)
         self._n = 0
 
     def on_phase(self, t: int, name: str) -> None:
         if name == "measure":
             self.reset()
 
-    # ---------------------------------------------------------------- fenwick
-
-    def _add(self, i: int, delta: int) -> None:
-        i += 1
-        tree = self._tree
-        cap = self._cap
-        while i <= cap:
-            tree[i] += delta
-            i += i & (-i)
-
-    def _prefix(self, i: int) -> int:
-        """Sum of slots [0, i]."""
-        i += 1
-        tree = self._tree
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
-
-    def _compact(self) -> None:
-        """Renumber live markers in timestamp order into a fresh tree.
-
-        Order-preserving, dead slots dropped — every future prefix-sum
-        difference over the live markers is unchanged, so the reported
-        distances are bit-identical to the never-compacted run.
-        """
-        live = sorted(self._last_seen.items(), key=lambda kv: kv[1])
-        self._last_seen = {vpn: i for i, (vpn, _) in enumerate(live)}
-        self._n = len(live)
-        self._cap = max(_MIN_FENWICK, 2 * self._n)
-        self._tree = [0] * (self._cap + 1)
-        for i in range(self._n):
-            self._add(i, 1)
-
     # ------------------------------------------------------------- batch path
 
-    def _observe(self, vpn: int) -> None:
-        # _add/_prefix inlined: this is the per-tracked-access hot loop, and
-        # the three Fenwick walks dominate it at python call granularity.
-        tree = self._tree
-        cap = self._cap
-        prev = self._last_seen.get(vpn)
-        if prev is None:
-            self.cold_accesses += 1
-        else:
-            # distinct tracked pages touched since prev = live markers after
-            # it; the full prefix sum is just the live-marker count, so only
-            # the prefix up to prev needs the tree.
-            i = prev + 1
-            total = 0
-            while i > 0:
-                total += tree[i]
-                i -= i & (-i)
-            d = len(self._last_seen) - total
-            self.hists["stack_distance"].record(int(round(d / self.rate)))
-            i = prev + 1
-            while i <= cap:
-                tree[i] -= 1
-                i += i & (-i)
-        i = self._n + 1
-        while i <= cap:
-            tree[i] += 1
-            i += i & (-i)
-        self._last_seen[vpn] = self._n
-        self._n += 1
-        if self._n == cap:
-            self._compact()
-
     def on_batch(self, t0: int, vpns, ledger, before) -> None:
-        if len(vpns) == 0:
-            return
-        if self._threshold is None:
-            self.tracked_accesses += len(vpns)
-            for vpn in vpns:
-                self._observe(int(vpn))
-            return
         arr = np.asarray(vpns, dtype=np.int64)
-        keys = arr.astype(np.uint64) ^ np.uint64(self._salt)
-        tracked = np.nonzero(_splitmix64_many(keys) < np.uint64(self._threshold))[0]
-        self.tracked_accesses += len(tracked)
-        for vpn in arr[tracked].tolist():
-            self._observe(int(vpn))
+        if self._threshold is not None:
+            arr = arr[_tracked(arr, self._salt, self._threshold)]
+        n = arr.size
+        if n == 0:
+            return
+        self.tracked_accesses += n
+        # the batch's distinct pages, with their first and last positions
+        order = arr.argsort(kind="stable")
+        srt = arr[order]
+        head = np.ones(n, dtype=bool)
+        np.not_equal(srt[1:], srt[:-1], out=head[1:])
+        head = head.nonzero()[0]
+        pages, first = srt[head], order[head]
+        last = order[np.append(head[1:], n) - 1]
+        plist = pages.tolist()
+        get = self._last_seen.get
+        stamp = np.array([get(p, -1) for p in plist], dtype=np.int64)
+        live = (stamp >= 0).nonzero()[0]
+        live = live[stamp[live].argsort()]  # touched live pages, oldest first
+        d = stack_distances(arr, prefix=pages[live])
+        # at its first batch access, a touched live page's distance also
+        # counts the untouched live pages seen after it: all untouched
+        # ones but those older than it (pos - r of them, pos being its rank
+        # among all live stamps and r among the touched ones)
+        stamps = self._stamps
+        pos = stamps.searchsorted(stamp[live])
+        d[first[live]] += stamps.size - live.size - pos + np.arange(live.size)
+        cold = d == COLD
+        self.cold_accesses += int(np.count_nonzero(cold))
+        scaled = np.rint(d[~cold] / self.rate).astype(np.int64)
+        _record(self.hists["stack_distance"], scaled)
+        # every page the batch touched now carries its last batch access
+        keep = np.ones(stamps.size, dtype=bool)
+        keep[pos] = False
+        new = last + self._n
+        self._stamps = np.concatenate((stamps[keep], np.sort(new)))
+        self._last_seen.update(zip(plist, new.tolist()))
+        self._n += n
 
     # -------------------------------------------------------------- summaries
 

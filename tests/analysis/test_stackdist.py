@@ -1,5 +1,7 @@
 """Tests for Mattson stack distances and the one-pass LRU miss curve."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,45 @@ class TestStackDistances:
 
     def test_empty(self):
         assert len(stack_distances([])) == 0
+
+
+def _lru_stack_reference(trace, prefix=()):
+    """Distances read off an explicit LRU stack (MRU at the end)."""
+    stack = OrderedDict.fromkeys(prefix)
+    out = []
+    for page in trace:
+        if page in stack:
+            keys = list(stack)
+            out.append(len(keys) - 1 - keys.index(page))
+            stack.move_to_end(page)
+        else:
+            out.append(COLD)
+            stack[page] = None
+    return out
+
+
+class TestAgainstLRUStack:
+    @given(
+        st.lists(st.integers(0, 15), max_size=150),
+        st.lists(st.integers(0, 20), max_size=25, unique=True),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_property_with_warm_prefix(self, trace, prefix):
+        # the prefix is a warm LRU order, oldest first; keys 16-20 are
+        # never touched by the trace
+        got = stack_distances(trace, prefix=prefix)
+        assert got.tolist() == _lru_stack_reference(trace, prefix)
+
+    def test_keys_beyond_the_int64_composite(self):
+        # key * n overflows int64 for these keys, and negative keys break
+        # the composite order: both are ranked densely first
+        rng = np.random.default_rng(3)
+        low = rng.integers(0, 50, 3000)
+        trace = np.where(rng.random(3000) < 0.5, low, low + (1 << 62))
+        trace[::7] = -trace[::7] - 1
+        prefix = [int(trace[5]), (1 << 62) + 60, -7]
+        expected = _lru_stack_reference(trace.tolist(), prefix)
+        assert stack_distances(trace, prefix=prefix).tolist() == expected
 
 
 class TestLRUMissCurve:

@@ -10,6 +10,10 @@ boundary. These tests pin that promise:
   in order, final residents) across randomized small streams, a
   Hypothesis property near the capacity, and streams whose footprint is
   exactly the capacity or one past it (the footprint bound);
+* its hit masks against :func:`repro.analysis.stack_distances` on long
+  streams (Figure 1a's trace at three huge-page sizes, a 200 k zipf trace,
+  a windowed warm start), which reach the ladder, the scan and the grid;
+* page numbers near 2**62, past the int64 composite the kernels sort;
 * full deep-state parity for every covered algorithm on cold, segmented,
   and warm-reset replays;
 * the write-back dirty bit carried across segment boundaries;
@@ -34,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import stack_distances
 from repro.bench import figure1_workload, make_physical_mm
 from repro.bench.hotloop import FAILURE_MMS, HOTLOOP_CONFIG, key_stream
 from repro.mmu import PhysicalHugePageMM, array_engine
@@ -42,6 +47,7 @@ from repro.mmu.registry import ENGINES, MM_NAMES, make_mm, mm_factory
 from repro.obs import SamplingProbe, TraceRecorder
 from repro.sim import simulate
 from repro.sim.parallel import SimTask, run_records
+from repro.workloads import ZipfWorkload
 
 #: algorithms with a batch handler (everything but THP).
 ARRAY_MMS = tuple(n for n in MM_NAMES if n != "thp")
@@ -314,6 +320,51 @@ class TestStreamKernel:
         assert list(order) == residents
 
 
+# Long streams, checked against the exact stack distances of
+# repro.analysis: a key hits at capacity C iff 0 <= d < C.  These reach
+# the ladder, the scan and the grid at lengths the LRU oracle above
+# cannot afford.
+
+
+def _assert_hits_are_short_distances(kern, keys, prefix, capacities):
+    d = stack_distances(keys, prefix=prefix)
+    for C in capacities:
+        expected = (d >= 0) & (d < C)
+        assert np.array_equal(kern.hit_mask(C)[kern.R :], expected), C
+
+
+@pytest.mark.parametrize("h", (1, 8, 128))
+def test_fig1a_stream_matches_stack_distances(h):
+    workload, ram_pages = figure1_workload("a", 1 << 18, seed=0)
+    keys = np.asarray(workload.generate(120_000, seed=0)) // h
+    kern = StreamKernel(keys)
+    _assert_hits_are_short_distances(kern, keys, (), (512, ram_pages // h))
+
+
+def test_zipf_stream_matches_stack_distances():
+    keys = np.asarray(ZipfWorkload(8192).generate(200_000, seed=0))
+    _assert_hits_are_short_distances(StreamKernel(keys), keys, (), (64, 4096))
+
+
+def test_windowed_warm_start_matches_stack_distances():
+    # the LRU order after 100k zipf accesses at C = 4096, then a 1,000-
+    # access segment: the kernel starts from a window of the order and
+    # runs at C - |U|, hitting exactly where the full order's distances
+    # are below C
+    trace = np.asarray(ZipfWorkload(8192).generate(101_000, seed=1))
+    C = 4096
+    order = OrderedDict.fromkeys(
+        StreamKernel(trace[:100_000]).residents_at(C, 100_000).tolist()
+    )
+    seg = trace[100_000:]
+    window, C_window = array_engine._warm_window(order, seg, C)
+    assert len(window) < len(order) == C
+    kern = StreamKernel(seg, window)
+    _assert_hits_are_short_distances(kern, seg, window, (C_window,))
+    full = stack_distances(seg, prefix=list(order))
+    assert np.array_equal(kern.hit_mask(C_window)[kern.R :], (full >= 0) & (full < C))
+
+
 # ------------------------------------------------------- engine parity
 
 
@@ -344,6 +395,21 @@ class TestDeepStateParity:
 
     def test_supports(self, name):
         assert supports(make_mm(name, TLB_ENTRIES, RAM_PAGES, seed=0))
+
+
+@pytest.mark.parametrize("name", ARRAY_MMS)
+def test_page_numbers_beyond_the_int64_composite(name):
+    # half the accesses go to pages 2**62 + (0-199): key * n overflows the
+    # int64 composite the kernels sort to link repeats
+    rng = np.random.default_rng(0)
+    low = rng.integers(0, 200, 8192)
+    trace = np.where(rng.random(8192) < 0.5, low, low + (1 << 62))
+    ledgers = []
+    for engine in ENGINES:
+        mm = make_mm(name, 64, 256, seed=0, engine=engine)
+        simulate(mm, trace)
+        ledgers.append(mm.ledger.as_dict())
+    assert ledgers[0] == ledgers[1]
 
 
 class TestWritebackDirtyCarry:

@@ -10,6 +10,8 @@ under them.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.stackdist import COLD, stack_distances
 from repro.analysis.workingset import working_set_sizes
@@ -148,15 +150,19 @@ class TestStackDistanceParity:
         assert probe.cold_accesses == cold
         assert probe.tracked_accesses == len(trace)
 
-    def test_compaction_preserves_distances(self, monkeypatch):
-        # a tiny Fenwick floor forces many compactions over one trace
-        monkeypatch.setattr("repro.obs.online._MIN_FENWICK", 16)
+    @pytest.mark.parametrize(
+        "batch", (1, 31, 113, None), ids=("1", "31", "113", "whole")
+    )
+    def test_batch_size_preserves_distances(self, batch):
+        # small batches send most reuses back into the live-page prefix and
+        # the untouched-newer count; the whole trace needs neither
         trace = build_trace("uniform")
         probe = OnlineStackDistance()
-        _feed(probe, trace, batch=31)
+        _feed(probe, trace, batch=batch or len(trace))
         expected, cold = _offline_sd(trace)
         assert probe.hists["stack_distance"].as_dict() == expected.as_dict()
         assert probe.cold_accesses == cold
+        assert len(probe._last_seen) == len(set(trace.tolist()))
 
     def test_sampled_mode_is_the_shards_estimator(self):
         trace = build_trace("zipf")
@@ -216,6 +222,31 @@ class TestStackDistanceParity:
             _hash_threshold(0.0)
         with pytest.raises(ValueError):
             _hash_threshold(1.0000001)
+
+
+@pytest.mark.parametrize("rate", (1.0, 0.25))
+@pytest.mark.parametrize(
+    "make",
+    (
+        lambda rate: OnlineStackDistance(rate=rate, seed=4),
+        lambda rate: OnlineWorkingSet(50, sample_every=3, rate=rate, seed=4),
+    ),
+    ids=("stack-distance", "working-set"),
+)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_ragged_batches_equal_one_whole_batch(make, rate, data):
+    trace = np.asarray(build_trace("markov"))[: data.draw(st.integers(1, 600))]
+    cuts = sorted(
+        data.draw(st.lists(st.integers(0, len(trace)), max_size=12, unique=True))
+    )
+    whole = make(rate)
+    whole.on_batch(0, trace, None, None)
+    ragged = make(rate)
+    for a, b in zip([0] + cuts, cuts + [len(trace)]):
+        ragged.on_batch(a, trace[a:b], None, None)
+    # as_dict holds every histogram and counter of either probe
+    assert ragged.as_dict() == whole.as_dict()
 
 
 class TestFastPathStaysEnabled:
