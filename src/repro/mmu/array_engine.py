@@ -24,8 +24,8 @@ chain ``nxt``::
     rank2(p, v) = #{j <= p : nxt[j] >= v} = (p + 1) - count_less(p, v)
 
 where ``D(i)`` counts distinct keys before ``i``.  :class:`StreamKernel`
-resolves ``d(i) < C`` for every access with a cascade of cheap pruning
-passes, each exact:
+resolves ``d(i) < C`` for every access with four O(n) tests, each exact,
+and one exact stage for the repeats they leave open:
 
 1. ``gap <= C`` is a sure hit (the window cannot hold ``C`` distinct);
 2. ``D(i) <= C`` is a sure hit (the window holds at most ``D(i) - 1``
@@ -34,12 +34,11 @@ passes, each exact:
 3. first occurrences are sure misses;
 4. ``D(i) - D(p) >= C`` is a sure miss (global first occurrences inside
    the window are all distinct there);
-5. fixed-width sliding-window distinct counts ``DW_w`` (one ``bincount``
-   plus a ``cumsum`` per width) bracket ``d`` because windows nest:
-   ``DW_w(i-1) <= d <= DW_w'(i-1)`` for ``w <= gap-1 <= w'``;
-6. survivors with narrow windows are scanned directly; wide survivors go
-   through a blocked dominance grid (2-D prefix-sum checkpoint matrix)
-   with per-block edge scans.
+5. every other repeat goes to a blocked dominance grid, a 2-D prefix-sum
+   checkpoint matrix over ``(j, nxt[j])``: its checkpoints bound
+   ``count_less`` from both sides, and the queries the bounds leave open
+   are counted exactly by scanning the two edge blocks around their
+   checkpoint.
 
 Eviction *order* falls out of the same arrays: a position dies iff its
 key's next occurrence is a miss (or it ages out of the final top-``C``),
@@ -72,13 +71,11 @@ a real allocator whose fragmentation is inherently sequential.
 
 from __future__ import annotations
 
-import bisect
 from itertools import islice
 
 import numpy as np
 
 from ..analysis.stackdist import prev_occurrence
-from ..analysis.workingset import window_distinct
 from ..paging import LRUPolicy, PageCache
 from ..tlb import TLB
 from .classical import BasePageMM
@@ -90,17 +87,13 @@ from .writeback import WritebackHugePageMM
 
 __all__ = ["StreamKernel", "supports", "try_run"]
 
-# Tuning knobs (speed only; every path is exact).  Streams whose
-# ambiguous set after pruning exceeds _DENSE_AMB get the sliding-window
-# ladder; survivors with windows narrower than _SCAN_MAX are scanned
-# directly, in blocks of at most _SCAN_CELLS rows x width (a bound on the
-# scan's temporaries); the dominance grid uses _BT x _BV blocks.
-_DENSE_AMB = 4000
-_SCAN_MAX = 640
-_SCAN_CELLS = 1 << 16
-_LADDER_STEPS = 9  # widths C * 2**(k/4), k = 0 .. _LADDER_STEPS-1
+# Tuning knobs (speed and memory only; results are exact at any value).
+# The dominance grid uses _BT x _BV blocks, and its exact count runs its
+# queries in blocks of at most _GRID_CELLS cells (a bound on the
+# temporaries of the edge-block scans).
 _BT = 128
 _BV = 128
+_GRID_CELLS = 1 << 16
 
 
 class StreamKernel:
@@ -143,45 +136,9 @@ class StreamKernel:
         # long streams get coarser grid blocks: the checkpoint matrix
         # shrinks 4x while the per-query edge scans stay cheap
         self._bt = self._bv = _BT if n < (1 << 17) else 2 * _BT
-        self._dw: dict[int, np.ndarray] = {}
         self._ns = None
         self._grid = None
         self._hit: dict[int, np.ndarray] = {}
-
-    # ------------------------------------------------------- DW ladder
-
-    def _dw_width(self, w: int) -> np.ndarray:
-        """``DW_w[j]`` = #distinct keys in ``[max(0, j-w+1), j]``
-        (:func:`~repro.analysis.workingset.window_distinct`), per width."""
-        got = self._dw.get(w)
-        if got is None:
-            got = self._dw[w] = window_distinct(self.prev, w)
-        return got
-
-    def _ladder_bounds(self, amb: np.ndarray, gap: np.ndarray, C: int):
-        """Bracket ``d`` for ambiguous queries between nested windows."""
-        widths = sorted(
-            {max(1, int(C * 2 ** (k / 4))) for k in range(_LADDER_STEPS)}
-        )
-        # only the widths bracketing the observed gap range can ever be
-        # the tightest bound for some query; skip building the rest
-        gmin = int(gap.min()) - 1
-        gmax = int(gap.max()) - 1
-        i0 = max(bisect.bisect_right(widths, gmin) - 1, 0)
-        i1 = bisect.bisect_left(widths, gmax)
-        widths = widths[i0 : i1 + 1]
-        table = np.stack([self._dw_width(w) for w in widths])
-        warr = np.asarray(widths, dtype=np.int64)
-        gi = gap.astype(np.int64) - 1  # true window width of each query
-        lo_idx = np.searchsorted(warr, gi, side="right") - 1
-        hi_idx = np.searchsorted(warr, gi, side="left")
-        lb = np.zeros(amb.size, dtype=np.int32)
-        ok = lo_idx >= 0
-        lb[ok] = table[lo_idx[ok], amb[ok] - 1]
-        ub = np.full(amb.size, np.int32(2**30))
-        ok = hi_idx < len(widths)
-        ub[ok] = table[hi_idx[ok], amb[ok] - 1]
-        return lb, ub
 
     # ------------------------------------------------------ block grid
 
@@ -248,60 +205,34 @@ class StreamKernel:
         return low, low + e_t + e_v
 
     def _grid_exact(self, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Exact ``count_less`` for the queries the bounds left open."""
+        """Exact ``count_less`` for the queries the bounds left open, in
+        blocks of rows whose edge-block temporaries hold at most
+        ``_GRID_CELLS`` cells."""
         A, Acol, PJB, PVB, NB = self._prepare_grid()
-        tb = p // self._bt
+        bt = self._bt
+        tb = p // bt
         vbq = v // self._bv
-        base = np.zeros(p.size, dtype=np.int32)
+        t0 = tb * np.int32(bt)
+        out = np.zeros(p.size, dtype=np.int32)
         ok = (tb > 0) & (vbq > 0)
-        base[ok] = A[tb[ok] - 1, vbq[ok] - 1]
-        t0 = tb * np.int32(self._bt)
-        vcol = v[:, None]
-        # partial time block [t0, p]: members with nxt < v (pads excluded)
-        ar = np.arange(self._bt, dtype=np.int32)
-        cnt_t = np.sum(
-            (ar[None, :] <= (p - t0)[:, None]) & (NB[tb] < vcol),
-            axis=1,
-            dtype=np.int32,
-        )
-        # value block vbq: members with pj < t0 and pv < v
-        cnt_v = np.sum(
-            (PJB[vbq] < t0[:, None]) & (PVB[vbq] < vcol),
-            axis=1,
-            dtype=np.int32,
-        )
-        return base + cnt_t + cnt_v
-
-    # ----------------------------------------------------- direct scan
-
-    def _scan_exact(self, q: np.ndarray) -> np.ndarray:
-        """Exact ``d`` for narrow windows by counting first-in-window
-        positions ``j`` in ``(p, i)`` (those with ``prev[j] <= p``),
-        batched by window width so one wide straggler can't pad every
-        row, and capped at ``_SCAN_CELLS`` elements per block."""
-        p = self.prev[q]
-        width = q - p - 1
-        out = np.empty(q.size, dtype=np.int32)
-        order = np.argsort(width, kind="stable")
-        sw = width[order]
-        lo = 0
-        while lo < order.size:
-            # the block's last (widest) row sets its width: size the block
-            # from its first row, then shrink it to fit its last
-            hi = min(lo + max(_SCAN_CELLS // max(int(sw[lo]), 1), 1), sw.size)
-            wmax = int(sw[hi - 1])
-            if (hi - lo) * wmax > _SCAN_CELLS:
-                hi = lo + max(_SCAN_CELLS // wmax, 1)
-                wmax = int(sw[hi - 1])
-            sel = order[lo:hi]
-            ps = p[sel]
-            W = ps[:, None] + np.arange(1, max(wmax, 1) + 1, dtype=np.int32)
-            valid = W < q[sel][:, None]
-            np.clip(W, 0, self.n - 1, out=W)
-            out[sel] = np.sum(
-                valid & (self.prev[W] <= ps[:, None]), axis=1, dtype=np.int32
+        out[ok] = A[tb[ok] - 1, vbq[ok] - 1]
+        ar = np.arange(bt, dtype=np.int32)
+        rows = max(_GRID_CELLS // max(bt, PJB.shape[1]), 1)
+        for lo in range(0, p.size, rows):
+            b = slice(lo, lo + rows)
+            vcol = v[b, None]
+            # partial time block [t0, p]: members with nxt < v (pads excluded)
+            out[b] += np.sum(
+                (ar <= (p[b] - t0[b])[:, None]) & (NB[tb[b]] < vcol),
+                axis=1,
+                dtype=np.int32,
             )
-            lo = hi
+            # value block vbq: members with pj < t0 and pv < v
+            out[b] += np.sum(
+                (PJB[vbq[b]] < t0[b, None]) & (PVB[vbq[b]] < vcol),
+                axis=1,
+                dtype=np.int32,
+            )
         return out
 
     # ------------------------------------------------------------ API
@@ -309,46 +240,36 @@ class StreamKernel:
     def hit_mask(self, C: int) -> np.ndarray:
         """Boolean hit mask per position (prefix pseudo-accesses included).
 
-        A repeat is a sure hit when its gap or its footprint ``D(i)`` is at
-        most ``C``; the pruning cascade in the module docstring resolves
-        the rest.  The footprint bound holds at any capacity queried, the
-        windowed warm start's ``C - |U|`` included.
+        The four O(n) tests of the module docstring (gap, footprint, first
+        occurrence, ``D``-difference) settle most repeats; the rest get
+        the dominance grid's bounds on ``d``, and the ones those leave
+        open its exact count.  The footprint bound holds at any capacity
+        queried, the windowed warm start's ``C - |U|`` included.
         """
         got = self._hit.get(C)
         if got is not None:
             return got
         prev = self.prev
+        D = self.D
         gap = self._pos - prev  # prev = -1 gives gap = i + 1
         nonfirst = prev >= 0
         sure = gap <= C
         # D is nondecreasing, so the footprint bound D(i) <= C holds on a
         # prefix of the stream
-        sure[: np.searchsorted(self.D, C, side="right")] = True
+        sure[: np.searchsorted(D, C, side="right")] = True
         hit = nonfirst & sure
         amb = np.flatnonzero(nonfirst & ~sure).astype(np.int32)
+        amb = amb[D[amb] - D[prev[amb]] < C]
         if amb.size:
-            d_lb = self.D[amb] - self.D[prev[amb]]
-            amb = amb[d_lb < C]
-        if amb.size > _DENSE_AMB:
-            lb, ub = self._ladder_bounds(amb, gap[amb], C)
-            hit[amb[ub < C]] = True
-            amb = amb[(lb < C) & (ub >= C)]
-        if amb.size:
-            narrow = gap[amb] - 1 <= _SCAN_MAX
-            nq = amb[narrow]
-            if nq.size:
-                hit[nq[self._scan_exact(nq) < C]] = True
-            wq = amb[~narrow]
-            if wq.size:
-                p = prev[wq]
-                off = self.D[wq] - (p + 1)  # d = off + count_less
-                lo, hi = self._grid_bounds(p, wq)
-                hit[wq[off + hi < C]] = True
-                oq = wq[(off + lo < C) & (off + hi >= C)]
-                if oq.size:
-                    cl = self._grid_exact(prev[oq], oq)
-                    d = self.D[oq] - (prev[oq] + 1) + cl
-                    hit[oq[d < C]] = True
+            p = prev[amb]
+            off = D[amb] - (p + 1)  # d = off + count_less(p, i)
+            lo, hi = self._grid_bounds(p, amb)
+            hit[amb[off + hi < C]] = True
+            open_ = (off + lo < C) & (off + hi >= C)
+            if open_.any():
+                oq = amb[open_]
+                d = off[open_] + self._grid_exact(p[open_], oq)
+                hit[oq[d < C]] = True
         self._hit[C] = hit
         return hit
 
@@ -647,14 +568,22 @@ def _run_nested(mm, trace: np.ndarray):
     """Nested translation: guest TLB and RAM are LRU caches on the hpn
     stream; the 2-D walk becomes a derived LRU stream over page-table
     node keys ``(depth, prefix)``, encoded as ``prefix*(g+1) + depth``.
-    The walk kernel starts from the whole ℓ-entry host TLB."""
+    The walk kernel starts from the whole ℓ-entry host TLB.  Declines,
+    before any state moves, when a walk key of the segment or of the host
+    TLB would not fit int64."""
     if not (_plain_lru(mm.tlb) and _plain_lru(mm.ram) and _plain_lru(mm.nested_tlb)):
+        return None
+    g = mm.guest_levels
+    nt = mm.nested_tlb
+    enc = [p * (g + 1) + d for (d, p) in nt.policy._order]
+    # every walk key of the segment fits int64 if its extreme pages' do
+    keys = enc + [int(trace.min()) * (g + 1), int(trace.max()) * (g + 1) + g]
+    if min(keys) < -(1 << 63) or max(keys) >= 1 << 63:
         return None
     kern_t, tC, _kern_r, _rC = _paged_fold(mm, trace)
     ledger = mm.ledger
     # one walk per guest-TLB miss, in stream order: guest levels 1..g
     # touch (d, vpn >> (top - d*bits)), then the data page is (0, vpn)
-    g = mm.guest_levels
     miss_idx = kern_t.miss_positions(tC) - kern_t.R
     if miss_idx.size:
         vm = trace[miss_idx]
@@ -663,8 +592,6 @@ def _run_nested(mm, trace: np.ndarray):
         cols = [(vm >> max(top - d * bits, 0)) * (g + 1) + d for d in range(1, g + 1)]
         cols.append(vm * (g + 1))
         walk = np.stack(cols, axis=1).reshape(-1)
-        nt = mm.nested_tlb
-        enc = [p * (g + 1) + d for (d, p) in nt.policy._order]
         kern_n = StreamKernel(walk, enc)
         n_misses = kern_n.counts(nt.capacity)[1]
         ledger.extra["host_tlb_misses"] += n_misses

@@ -12,8 +12,12 @@ boundary. These tests pin that promise:
   exactly the capacity or one past it (the footprint bound);
 * its hit masks against :func:`repro.analysis.stack_distances` on long
   streams (Figure 1a's trace at three huge-page sizes, a 200 k zipf trace,
-  a windowed warm start), which reach the ladder, the scan and the grid;
-* page numbers near 2**62, past the int64 composite the kernels sort;
+  a windowed warm start), which reach the dominance grid's bounds and its
+  exact count;
+* the grid's exact count on a long stream, run in blocks whose traced
+  memory stays bounded;
+* page numbers near 2**62, past the int64 composite the kernels sort and
+  past the nested MM's int64 walk keys, on whole and segmented runs;
 * full deep-state parity for every covered algorithm on cold, segmented,
   and warm-reset replays;
 * the write-back dirty bit carried across segment boundaries;
@@ -147,10 +151,10 @@ class TestStreamKernel:
             assert kern.keys[kern.deaths(cap)].tolist() == victims, trial
             assert kern.residents_at(cap, kern.n).tolist() == residents, trial
 
-    def test_dense_stream_exercises_ladder_and_grid(self):
-        # small universe + large n leaves thousands of ambiguous queries,
-        # forcing the sliding-window ladder, the direct scan, and the
-        # blocked dominance grid — every pruning tier must stay exact
+    def test_dense_stream_exercises_the_grid(self):
+        # small universe + large n leaves thousands of repeats that the
+        # O(n) tests cannot settle, forcing the blocked dominance grid's
+        # bounds and its exact count — both must stay exact
         rng = np.random.default_rng(3)
         n, universe, cap = 20_000, 120, 64
         seg = rng.integers(0, universe, n).astype(np.int64)
@@ -201,13 +205,13 @@ class TestStreamKernel:
     # A repeat at position i is a sure hit once D(i) <= C: its window
     # holds at most D(i) - 1 distinct keys.  These tests pin the bound
     # exact at and just past the footprint C, and pin that a stream
-    # whose footprint fits resolves before the ladder, scan and grid.
+    # whose footprint fits resolves before the dominance grid.
 
     @staticmethod
     def _spy_later_stages(monkeypatch) -> list:
         """Record every call of the stages after the footprint bound."""
         calls = []
-        for stage in ("_ladder_bounds", "_scan_exact", "_prepare_grid"):
+        for stage in ("_grid_bounds", "_prepare_grid"):
             real = getattr(StreamKernel, stage)
 
             def spy(self, *args, _stage=stage, _real=real):
@@ -222,12 +226,12 @@ class TestStreamKernel:
         cap = 64
         seg = rng.integers(0, cap, 20_000).astype(np.int64)
         kern = StreamKernel(seg)
-        # without the bound, more than _DENSE_AMB repeats would pass the
-        # gap and D-difference tests and reach the ladder
+        # without the bound, 7,255 repeats would pass the gap and
+        # D-difference tests and reach the grid
         prev = kern.prev
         pending = np.flatnonzero((prev >= 0) & (kern._pos - prev > cap))
         pending = pending[kern.D[pending] - kern.D[prev[pending]] < cap]
-        assert pending.size > array_engine._DENSE_AMB
+        assert pending.size > 0
         calls = self._spy_later_stages(monkeypatch)
         hits, victims, residents = _lru_oracle(seg.tolist(), (), cap)
         assert kern.hit_mask(cap).tolist() == hits
@@ -322,8 +326,7 @@ class TestStreamKernel:
 
 # Long streams, checked against the exact stack distances of
 # repro.analysis: a key hits at capacity C iff 0 <= d < C.  These reach
-# the ladder, the scan and the grid at lengths the LRU oracle above
-# cannot afford.
+# the dominance grid at lengths the LRU oracle above cannot afford.
 
 
 def _assert_hits_are_short_distances(kern, keys, prefix, capacities):
@@ -365,6 +368,28 @@ def test_windowed_warm_start_matches_stack_distances():
     assert np.array_equal(kern.hit_mask(C_window)[kern.R :], (full >= 0) & (full < C))
 
 
+def test_grid_exact_counts_in_bounded_blocks():
+    # one exact count over 30,000 repeats of a 100 k-access zipf stream:
+    # the edge-block scans run in blocks, so their temporaries stay
+    # bounded however many queries the bounds leave open
+    keys = np.asarray(ZipfWorkload(8192).generate(100_000, seed=0))
+    kern = StreamKernel(keys)
+    kern._prepare_grid()
+    rng = np.random.default_rng(0)
+    v = np.sort(rng.choice(np.flatnonzero(kern.prev >= 0), 30_000, replace=False))
+    v = v.astype(np.int32)
+    p = kern.prev[v]
+    tracemalloc.start()
+    try:
+        got = kern._grid_exact(p, v)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, f"traced peak {peak / 2**20:.1f} MB"
+    for s in rng.choice(v.size, 300, replace=False).tolist():
+        assert got[s] == np.count_nonzero(kern.nxt[: p[s] + 1] < v[s]), s
+
+
 # ------------------------------------------------------- engine parity
 
 
@@ -400,16 +425,27 @@ class TestDeepStateParity:
 @pytest.mark.parametrize("name", ARRAY_MMS)
 def test_page_numbers_beyond_the_int64_composite(name):
     # half the accesses go to pages 2**62 + (0-199): key * n overflows the
-    # int64 composite the kernels sort to link repeats
+    # int64 composite the kernels sort to link repeats, and the nested
+    # MM's walk keys prefix * (g + 1) + depth overflow int64 itself.  The
+    # cut runs alternate 1,024- and 100-access calls, so segments below
+    # the nested floor put the object engine's keys in the host TLB
+    # between array segments
     rng = np.random.default_rng(0)
     low = rng.integers(0, 200, 8192)
     trace = np.where(rng.random(8192) < 0.5, low, low + (1 << 62))
-    ledgers = []
+    cuts = [0]
+    while cuts[-1] < len(trace):
+        cuts.append(min(len(trace), cuts[-1] + (1024 if len(cuts) % 2 else 100)))
+    sigs = []
     for engine in ENGINES:
-        mm = make_mm(name, 64, 256, seed=0, engine=engine)
-        simulate(mm, trace)
-        ledgers.append(mm.ledger.as_dict())
-    assert ledgers[0] == ledgers[1]
+        whole = make_mm(name, 64, 256, seed=0, engine=engine)
+        simulate(whole, trace)
+        cut = make_mm(name, 64, 256, seed=0, engine=engine)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            cut.run(trace[a:b])
+        sigs.append((_state_sig(whole), _state_sig(cut)))
+    assert sigs[0][0] == sigs[1][0], "whole trace"
+    assert sigs[0][1] == sigs[1][1], "alternating cuts"
 
 
 class TestWritebackDirtyCarry:
