@@ -123,8 +123,9 @@ HOTLOOP_CONFIG: dict = {
     "seed": 0,
 }
 
-#: MMs with a batched/vectorized fast path — the ``mm+sampled`` and
-#: ``mm+online`` sets.
+#: the MMs with probed rows (``mm+sampled``, ``mm+online``, ``mm+attrib``):
+#: the physical-huge family's ``access_many`` replay and three ``access()``
+#: loops, each a batch path that a batch-safe probe keeps.
 SAMPLED_MMS: tuple[str, ...] = ("physical-huge", "decoupled", "hybrid", "thp")
 
 #: paging-failure cells (``mm:<name>+fail`` rows): TLB/RAM deliberately

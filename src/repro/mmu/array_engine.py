@@ -53,17 +53,21 @@ the object state leaves it through one incremental step
 
 A segment may interleave several address spaces.  With the MM's
 ``asid_ledgers`` bound, the two fold sites (:func:`_paged_fold`,
-:func:`_run_decoupled_system`) credit each access to ASID
+:func:`_run_decoupled`) credit each access to ASID
 ``key // asid_stride`` with a ``bincount`` over the hit masks they fold
 into the machine's ledger (:func:`_fold_counts`).
 
-Handlers cover BasePageMM / PhysicalHugePageMM (pure counter folds),
-WritebackHugePageMM (vectorized store sampling + dirty-at-eviction
-replay), NestedTranslationMM (the 2-D walk becomes a derived LRU stream
-over page-table node keys), and DecoupledMM / HybridMM (RAM misses
-replayed sparsely through the real scheme; a paging failure mid-segment
-bails out with state synchronized at the failing access, and ``run``
-finishes the segment on the object engine).  Handlers are keyed by exact
+The handlers follow the machines' two folds.  :func:`_paged_fold` serves
+the physical-huge family: BasePageMM / PhysicalHugePageMM (pure counter
+folds), WritebackHugePageMM (plus vectorized store sampling and
+dirty-at-eviction replay) and NestedTranslationMM (plus the 2-D walk as a
+derived LRU stream over page-table node keys).  :func:`_run_decoupled`
+serves Theorem 4's ``Z``, DecoupledMM and its chunked HybridMM: RAM
+misses replay sparsely through the real scheme, and a paging failure
+mid-segment bails out with state synchronized at the failing access, so
+``run`` finishes the segment on the object engine.  Both folds replay
+miss-attribution ghosts from the kernels' miss and death positions, so
+an attributed segment stays on this engine.  Handlers are keyed by exact
 class, so subclasses (which may redefine ``access``) never match.
 THPStyleMM stays on the object engine: promotion migrates frames through
 a real allocator whose fragmentation is inherently sequential.
@@ -414,19 +418,23 @@ def _unit_stream(trace: np.ndarray, unit: int) -> np.ndarray:
     return trace // unit
 
 
-def _replay_ghost(ghost, kernel: StreamKernel, C: int) -> None:
+def _replay_ghost(ghost, kernel: StreamKernel, C: int, T: int | None = None) -> None:
     """Feed a miss-attribution ghost the cache's exact miss and eviction
-    sequence, derived sparsely from the kernel's miss positions and death
-    positions. The shared ``_SiteGhost.replay`` bulk path keeps the
+    sequence over the accesses before global position ``T`` (default: the
+    whole segment), derived sparsely from the kernel's miss positions and
+    death positions. The shared ``_SiteGhost.replay`` bulk path keeps the
     classification bit-identical to the object replay's per-access order:
     the first ``C - R`` misses fill free capacity, and every later miss
-    evicts the next entry of the ascending death sequence."""
+    evicts the next entry of the ascending death sequence. ``PageCache``
+    and ``TLB`` (a ``lookup`` miss, then the ``fill`` that evicts) call
+    their ghosts in that order."""
     mp = kernel.miss_positions(C)
+    if T is not None:
+        mp = mp[: np.searchsorted(mp, T)]
     if mp.size == 0:
         return
-    ghost.replay(
-        kernel.keys[mp].tolist(), kernel.keys[kernel.deaths(C)].tolist()
-    )
+    victims = kernel.deaths(C)[: max(0, mp.size - (C - kernel.R))]
+    ghost.replay(kernel.keys[mp].tolist(), kernel.keys[victims].tolist())
 
 
 def _fold_counts(mm, trace: np.ndarray, tlb_hit, ram_hit, io_unit: int) -> None:
@@ -604,9 +612,10 @@ def _run_nested(mm, trace: np.ndarray):
     return len(trace)
 
 
-def _run_decoupled_system(mm, trace: np.ndarray, units: np.ndarray):
-    """Shared batch path for DecoupledSystem wrappers (decoupled/hybrid);
-    *units* are the RAM keys of the global page *trace*.
+def _run_decoupled(mm, trace: np.ndarray):
+    """Batch path for Theorem 4's machine ``Z``: :class:`DecoupledMM` and
+    its Section 8 hybrid, whose RAM keys are the *trace*'s ``chunk``-page
+    units (the pages themselves at ``chunk = 1``).
 
     TLB and RAM counters fold from two kernels; the segment's whole RAM
     miss/eviction stream is applied in one bulk pass
@@ -616,7 +625,8 @@ def _run_decoupled_system(mm, trace: np.ndarray, units: np.ndarray):
     number of accesses completed: the full length normally, or — after a
     paging failure, whose costs recur per access — the index just past
     the failing access, with all state synchronized there so the caller
-    can finish the segment on the object engine.
+    can finish the segment on the object engine. Attribution ghosts replay
+    the misses and evictions of those accesses only.
     """
     system = mm.system
     scheme = system.scheme
@@ -626,6 +636,7 @@ def _run_decoupled_system(mm, trace: np.ndarray, units: np.ndarray):
     ram = system.ram
     if type(tlb) is not TLB or not _plain_lru(ram) or not _plain_lru(tlb):
         return None
+    units = _unit_stream(trace, mm.chunk)
     hpns = _unit_stream(units, system.hmax)
     tp, lC = _warm_window(tlb.policy._order, hpns, tlb.entries)
     rp, rC = _warm_window(ram.policy._order, units, ram.capacity)
@@ -659,6 +670,10 @@ def _run_decoupled_system(mm, trace: np.ndarray, units: np.ndarray):
             ledger.paging_failures += 1
     _sync_decoupled(system, kern_t, lC, done, evicts)
     _sync_cache(ram, kern_r, rC, done)
+    if tlb._ghost is not None:
+        _replay_ghost(tlb._ghost, kern_t, lC, kern_t.R + done)
+    if ram._ghost is not None:
+        _replay_ghost(ram._ghost, kern_r, rC, kern_r.R + done)
     return done
 
 
@@ -701,21 +716,13 @@ def _sync_decoupled(system, kern_t, lC: int, done: int, evicts: list) -> None:
             vals[hpn] = psi(hpn)
 
 
-def _run_decoupled(mm, trace: np.ndarray):
-    return _run_decoupled_system(mm, trace, trace)
-
-
-def _run_hybrid(mm, trace: np.ndarray):
-    return _run_decoupled_system(mm, trace, _unit_stream(trace, mm.chunk))
-
-
 _HANDLERS = {
     BasePageMM: _run_hugepage,
     PhysicalHugePageMM: _run_hugepage,
     WritebackHugePageMM: _run_writeback,
     NestedTranslationMM: _run_nested,
     DecoupledMM: _run_decoupled,
-    HybridMM: _run_hybrid,
+    HybridMM: _run_decoupled,
 }
 
 #: ``(floor, ceiling)`` segment lengths per handled class, in accesses.
@@ -757,20 +764,15 @@ def try_run(mm, trace):
     segment, or, after a paging failure in any piece, the accesses
     through the failing one, or the pieces served before a handler
     declined — or ``None`` meaning "use the object engine": no handler
-    for *mm*'s exact class, eviction provenance outside the hugepage
-    family, a non-LRU policy, or scheme state the batch replay can't
-    honor (pre-existing paging failures). The floor, finishing a segment
-    on the object engine, probe dispatch and ``on_batch`` flushes are
+    for *mm*'s exact class, a non-LRU policy, scheme state the batch
+    replay can't honor (pre-existing paging failures), an allocator
+    without a bulk replay, or nested walk keys beyond int64. The floor,
+    finishing a segment on the object engine, probe dispatch and
+    ``on_batch`` flushes are
     :meth:`~repro.mmu.base.MemoryManagementAlgorithm.run`'s job.
     """
     handler = _HANDLERS.get(type(mm))
     if handler is None:
-        return None
-    if mm._provenance is not None and handler is not _run_hugepage:
-        # eviction provenance is derived vectorized only for the
-        # base-page/physical-huge fold; every other handler falls back to
-        # the object replay, whose ghost hooks classify inline (the
-        # attribution contract test pins this fallback as silent + exact)
         return None
     arr = np.asarray(trace)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":

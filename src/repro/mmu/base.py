@@ -15,8 +15,8 @@ instrumented loop deriving typed events (``access``, ``tlb_miss``, ``io``,
 algorithms are observable without touching their ``access``
 implementations; everything else replays segment by segment through the
 array engine (the default, for segments at least as long as the class's
-floor) or the class's ``_run_batch`` hook, with one ``on_batch`` flush
-per segment when a batch-safe probe is attached.
+floor) or the object engine's ``_run_batch`` (the ``access`` loop), with
+one ``on_batch`` flush per segment when a batch-safe probe is attached.
 
 **ASID access contract.** Multi-tenant simulation (:mod:`repro.tenancy`)
 shares one algorithm instance between address spaces. The contract is
@@ -147,12 +147,6 @@ class MemoryManagementAlgorithm(ABC):
 
     #: short registry name, set by subclasses.
     name: str = "abstract"
-
-    #: the attached :class:`~repro.obs.attribution.AttributionProbe`, when
-    #: this machine is provenance-observed (set by ``observe``); the array
-    #: engine checks it to decide between vectorized provenance replay
-    #: (hugepage family) and a silent object-engine fallback.
-    _provenance = None
 
     def __init__(self) -> None:
         self.ledger = CostLedger()
@@ -366,12 +360,15 @@ class MemoryManagementAlgorithm(ABC):
     def _run_batch(self, trace) -> None:
         """Replay one segment on the object engine: the batch hook.
 
-        The base body is the per-access reference loop. The trace is
+        The body is the per-access reference loop. The trace is
         materialized as plain Python ints once (:func:`as_int_list`), so
         ``access`` implementations may assume exact ints and skip
         per-element ``int()`` boxing — the hot-loop contract documented
-        in ``docs/API.md``. Subclasses override the hook with a faster
-        body that leaves bit-identical counters and state.
+        in ``docs/API.md``. The one override is
+        :class:`~repro.mmu.hugepage.PhysicalHugePageMM`'s, which replays
+        the TLB and RAM through ``PageCache.access_many`` with
+        bit-identical counters and state; a subclass that redefines
+        ``access`` falls back to this loop (``__init_subclass__``).
         """
         access = self.access
         for vpn in as_int_list(trace):

@@ -32,18 +32,18 @@ _PARAMETERS = {
 
 
 class DecoupledSystemInspector(MMInspector):
-    """Oracle surface for any :class:`~repro.core.simulation.DecoupledSystem`
-    wrapper (plain decoupling and the Section 8 hybrid).
+    """Oracle surface for a :class:`DecoupledMM` (plain decoupling and the
+    Section 8 hybrid).
 
-    *unit* is the base pages per system "page" (1 for decoupling, the chunk
-    size for the hybrid); requests arrive in base-page space and are mapped
-    to system units exactly as the owning algorithm maps them.
+    ``unit`` is the base pages per system "page", the machine's ``chunk``
+    (1 for decoupling); requests arrive in base-page space and are mapped
+    to system units exactly as the machine maps them.
     """
 
-    def __init__(self, mm: MemoryManagementAlgorithm, system, unit: int = 1) -> None:
+    def __init__(self, mm: "DecoupledMM") -> None:
         super().__init__(mm)
-        self.system = system
-        self.unit = unit
+        self.system = system = mm.system
+        self.unit = unit = mm.chunk
         self.tlb_capacity = system.tlb.entries
         self.ram_page_capacity = system.ram.capacity * unit
         self.io_quantum = system.io_unit
@@ -120,6 +120,11 @@ class DecoupledMM(MemoryManagementAlgorithm):
 
     name = "decoupled"
 
+    #: base pages per system page: every field of a TLB value points at a
+    #: physical run of this many pages, and a RAM fault moves all of them.
+    #: 1 here; :class:`~repro.mmu.hybrid.HybridMM` sets its ``chunk``.
+    chunk: int = 1
+
     def __init__(
         self,
         tlb_entries: int,
@@ -163,58 +168,53 @@ class DecoupledMM(MemoryManagementAlgorithm):
             tlb_policy or LRUPolicy(),
             ram_policy or LRUPolicy(),
             DecouplingScheme(allocator, codec),
+            io_unit=self.chunk,
         )
         self.ledger = self.system.ledger
 
     @property
     def hmax(self) -> int:
-        """Huge-page size in base pages."""
+        """Fields per TLB value: the huge-page size in system pages (base
+        pages at ``chunk = 1``)."""
         return self.system.hmax
 
     def access(self, vpn: int) -> None:
         self.system.access(vpn)
 
-    def _run_batch(self, trace) -> None:
-        """Hand the whole segment to the system's own loop, skipping one
-        delegation hop per access."""
-        self.system.run(trace)
-
     def translation_alignment(self) -> int:
-        return self.system.hmax
+        return self.system.hmax * self.chunk
 
     def attribution_sites(self) -> tuple:
-        hmax = self.system.hmax
+        coverage = self.translation_alignment()
+        chunk = self.chunk
         return (
-            ("tlb", self.system.tlb, lambda hpn, _c=hmax: hpn * _c),
-            ("ram", self.system.ram, lambda vpn: vpn),
+            ("tlb", self.system.tlb, lambda hpn, _c=coverage: hpn * _c),
+            ("ram", self.system.ram, lambda unit, _c=chunk: unit * _c),
         )
 
     def shootdown(self, lo: int, hi: int) -> int:
-        return _shootdown_system(self.system, lo, hi, unit=1)
+        """Invalidate the TLB entries intersecting base pages ``[lo, hi)``.
+
+        The scheme's ``T`` set is kept in sync via ``tlb_evict``, exactly
+        as on a capacity eviction — ψ survives (it lives in the scheme,
+        not the TLB), so a re-fill after the shootdown decodes the same
+        frames."""
+        system = self.system
+        coverage = self.translation_alignment()
+        victims = [
+            hpn for hpn in system.tlb.resident()
+            if hpn * coverage < hi and (hpn + 1) * coverage > lo
+        ]
+        ghost = system.tlb._ghost
+        for hpn in victims:
+            if ghost is not None:
+                ghost.invalidated(hpn)
+            system.tlb.invalidate(hpn)
+            system.scheme.tlb_evict(hpn)
+        return len(victims)
 
     def _eviction_count(self) -> int:
         return self.system.ram.evictions
 
     def inspector(self) -> MMInspector:
-        return DecoupledSystemInspector(self, self.system)
-
-
-def _shootdown_system(system, lo: int, hi: int, *, unit: int) -> int:
-    """Invalidate a :class:`~repro.core.simulation.DecoupledSystem`'s TLB
-    entries intersecting base pages ``[lo, hi)`` (*unit* base pages per
-    system page). The scheme's ``T`` set is kept in sync via ``tlb_evict``,
-    exactly as on a capacity eviction — ψ survives (it lives in the
-    scheme, not the TLB), so a re-fill after the shootdown decodes the
-    same frames."""
-    coverage = system.hmax * unit
-    victims = [
-        hpn for hpn in system.tlb.resident()
-        if hpn * coverage < hi and (hpn + 1) * coverage > lo
-    ]
-    ghost = system.tlb._ghost
-    for hpn in victims:
-        if ghost is not None:
-            ghost.invalidated(hpn)
-        system.tlb.invalidate(hpn)
-        system.scheme.tlb_evict(hpn)
-    return len(victims)
+        return DecoupledSystemInspector(self)

@@ -8,31 +8,22 @@ contiguous run of ``chunk = q / h_max`` base pages: a TLB entry then covers
 size-``q`` huge pages with amplification capped at ``q/h_max`` instead of
 ``q``.
 
-Implementation: a :class:`~repro.core.simulation.DecoupledSystem` whose
-"pages" are the chunks (allocation, replacement and encoding all operate on
-chunk ids) and whose ``io_unit`` is the chunk size.
+Implementation: :class:`~repro.mmu.decoupled.DecoupledMM` over the
+``P/chunk`` chunk frames. Its system's "pages" are the chunks (allocation,
+replacement and encoding all operate on chunk ids) and its ``io_unit`` is
+the chunk size.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
-from .._util import check_positive_int, is_power_of_two, unit_list
-from ..core import (
-    DecoupledSystem,
-    DecouplingScheme,
-    TLBValueCodec,
-    build_allocator,
-    theorem3_parameters,
-)
-from ..paging import LRUPolicy, ReplacementPolicy
-from .base import MemoryManagementAlgorithm, MMInspector
-from .decoupled import DecoupledSystemInspector, _shootdown_system
+from .._util import check_positive_int, is_power_of_two
+from ..paging import ReplacementPolicy
+from .decoupled import DecoupledMM
 
 __all__ = ["HybridMM"]
 
 
-class HybridMM(MemoryManagementAlgorithm):
+class HybridMM(DecoupledMM):
     """Decoupled virtual huge pages of ``q = hmax · chunk`` base pages.
 
     Parameters
@@ -62,7 +53,6 @@ class HybridMM(MemoryManagementAlgorithm):
         ram_policy: ReplacementPolicy | None = None,
         seed=None,
     ) -> None:
-        super().__init__()
         check_positive_int(ram_pages, "ram_pages")
         self.chunk = check_positive_int(chunk, "chunk")
         if not is_power_of_two(chunk):
@@ -71,56 +61,21 @@ class HybridMM(MemoryManagementAlgorithm):
             raise ValueError(
                 f"ram_pages ({ram_pages}) must be divisible by chunk ({chunk})"
             )
-        chunk_frames = ram_pages // chunk
-        params = theorem3_parameters(chunk_frames, w)
-        if params.hmax < 1:
-            raise ValueError(f"w = {w} cannot hold a single field at this size")
-        # keep q = hmax · chunk a power of two (Section 5's alignment rule)
-        params = dataclasses.replace(params, hmax=1 << (params.hmax.bit_length() - 1))
-        self.params = params
-        allocator = build_allocator(params, seed=seed)
-        codec = TLBValueCodec(params.w, params.hmax, params.field_bits)
-        self.system = DecoupledSystem(
+        # hmax is rounded down to a power of two, which keeps q = hmax · chunk
+        # one too (Section 5's alignment rule)
+        super().__init__(
             tlb_entries,
-            params.max_pages,
-            tlb_policy or LRUPolicy(),
-            ram_policy or LRUPolicy(),
-            DecouplingScheme(allocator, codec),
-            io_unit=chunk,
+            ram_pages // chunk,
+            w=w,
+            tlb_policy=tlb_policy,
+            ram_policy=ram_policy,
+            seed=seed,
         )
-        self.ledger = self.system.ledger
 
     @property
     def coverage(self) -> int:
         """Base pages covered by one TLB entry: ``q = hmax · chunk``."""
-        return self.system.hmax * self.chunk
+        return self.translation_alignment()
 
     def access(self, vpn: int) -> None:
         self.system.access(vpn // self.chunk)
-
-    def _run_batch(self, trace) -> None:
-        """The vpn→chunk mapping is static, so the chunk ids for the whole
-        segment come from one vectorized shift."""
-        access = self.system.access
-        for cid in unit_list(trace, self.chunk):
-            access(cid)
-
-    def translation_alignment(self) -> int:
-        return self.coverage
-
-    def attribution_sites(self) -> tuple:
-        coverage = self.coverage
-        chunk = self.chunk
-        return (
-            ("tlb", self.system.tlb, lambda hpn, _c=coverage: hpn * _c),
-            ("ram", self.system.ram, lambda cid, _c=chunk: cid * _c),
-        )
-
-    def shootdown(self, lo: int, hi: int) -> int:
-        return _shootdown_system(self.system, lo, hi, unit=self.chunk)
-
-    def _eviction_count(self) -> int:
-        return self.system.ram.evictions
-
-    def inspector(self) -> MMInspector:
-        return DecoupledSystemInspector(self, self.system, unit=self.chunk)

@@ -23,7 +23,7 @@ page); evicting a huge unit drops all ``h`` pages at once.
 
 from __future__ import annotations
 
-from .._util import as_int_list, check_positive_int, is_power_of_two, unit_list
+from .._util import check_positive_int, is_power_of_two
 from ..obs.attribution import REASON_PROMOTION as _REASON_PROMOTION
 from ..paging import LRUPolicy, PageCache
 from ..sim.memory import OutOfMemoryError, PhysicalMemory
@@ -137,19 +137,9 @@ class THPStyleMM(MemoryManagementAlgorithm):
     # ------------------------------------------------------------------ api
 
     def access(self, vpn: int) -> None:
-        self._access(vpn, vpn // self.h)
-
-    def _run_batch(self, trace) -> None:
-        """The vpn→region mapping is static (promotion changes which *unit*
-        a region maps to, not the region number), so the regions for the
-        whole segment come from one vectorized shift."""
-        access = self._access
-        for vpn, region in zip(as_int_list(trace), unit_list(trace, self.h)):
-            access(vpn, region)
-
-    def _access(self, vpn: int, region: int) -> None:
         ledger = self.ledger
         ledger.accesses += 1
+        region = vpn // self.h
         promoted = region in self._promoted
         unit = (_HUGE, region) if promoted else (_BASE, vpn)
 

@@ -18,46 +18,32 @@ every TLB miss that huge pages or decoupling eliminate.
 
 from __future__ import annotations
 
-from .._util import check_positive_int, is_power_of_two
+from .._util import check_positive_int
 from ..paging import LRUPolicy, PageCache
-from .base import MemoryManagementAlgorithm, MMInspector
+from .base import MMInspector
+from .hugepage import PhysicalHugePageMM, _PhysicalInspector
 
 __all__ = ["NestedTranslationMM"]
 
 
-class _NestedInspector(MMInspector):
-    """Oracle surface for two-dimensional translation: the combined TLB and
-    host RAM behave like the Section 6 simulator; the nested TLB is an
-    additional bounded cache."""
-
-    def __init__(self, mm: "NestedTranslationMM") -> None:
-        super().__init__(mm)
-        self.tlb_capacity = mm.tlb.capacity
-        self.ram_page_capacity = mm.ram.capacity * mm.h
-        self.io_quantum = mm.h
-        self.max_io_per_access = mm.h
-
-    def tlb_entries(self) -> int:
-        return len(self.mm.tlb)
-
-    def ram_pages_resident(self) -> int:
-        return len(self.mm.ram) * self.mm.h
-
-    def tlb_covers(self, vpn: int) -> bool:
-        return (vpn // self.mm.h) in self.mm.tlb
-
-    def translation_spans(self):
-        h = self.mm.h
-        return [(hpn * h, hpn * h + h) for hpn in self.mm.tlb.resident()]
+class _NestedInspector(_PhysicalInspector):
+    """Physical-huge-page surface (the combined TLB and host RAM) plus the
+    nested TLB's own structural check."""
 
     def deep_check(self) -> None:
-        self.mm.tlb.check_invariants()
+        super().deep_check()
         self.mm.nested_tlb.check_invariants()
-        self.mm.ram.check_invariants()
 
 
-class NestedTranslationMM(MemoryManagementAlgorithm):
+class NestedTranslationMM(PhysicalHugePageMM):
     """Trace-driven model of two-dimensional translation.
+
+    The combined TLB and the host RAM are the Section 6 simulator's
+    (:class:`~repro.mmu.hugepage.PhysicalHugePageMM`); a combined-TLB miss
+    additionally pays the nested walk. The nested TLB is deliberately left
+    out of miss attribution: its misses charge ledger extras
+    (``host_tlb_misses``), not the ``tlb_misses`` counter the conservation
+    pins sum against.
 
     Parameters
     ----------
@@ -89,22 +75,12 @@ class NestedTranslationMM(MemoryManagementAlgorithm):
         host_levels: int = 4,
         bits_per_level: int = 9,
     ) -> None:
-        super().__init__()
-        check_positive_int(guest_tlb_entries, "guest_tlb_entries")
+        super().__init__(guest_tlb_entries, ram_pages, huge_page_size)
         check_positive_int(host_tlb_entries, "host_tlb_entries")
-        check_positive_int(ram_pages, "ram_pages")
-        h = check_positive_int(huge_page_size, "huge_page_size")
-        if not is_power_of_two(h):
-            raise ValueError(f"huge_page_size must be a power of two, got {h}")
-        if ram_pages % h:
-            raise ValueError("ram_pages must be divisible by huge_page_size")
-        self.h = h
         self.guest_levels = check_positive_int(guest_levels, "guest_levels")
         self.host_levels = check_positive_int(host_levels, "host_levels")
         self.bits_per_level = check_positive_int(bits_per_level, "bits_per_level")
-        self.tlb = PageCache(guest_tlb_entries, LRUPolicy())
         self.nested_tlb = PageCache(host_tlb_entries, LRUPolicy())
-        self.ram = PageCache(ram_pages // h, LRUPolicy())
         self._extra_defaults = dict(host_tlb_misses=0, walk_touches=0)
         self.ledger.extra.update(self._extra_defaults)
 
@@ -113,37 +89,17 @@ class NestedTranslationMM(MemoryManagementAlgorithm):
     def access(self, vpn: int) -> None:
         ledger = self.ledger
         ledger.accesses += 1
-        hpn = vpn // self.h
+        hpn = vpn // self.huge_page_size
         if self.tlb.access(hpn):
             ledger.tlb_hits += 1
         else:
             ledger.tlb_misses += 1
             self._nested_walk(vpn)
         if not self.ram.access(hpn):
-            ledger.ios += self.h
-
-    def translation_alignment(self) -> int:
-        return self.h
-
-    def attribution_sites(self) -> tuple:
-        # the nested TLB is deliberately uninstrumented: its misses charge
-        # ledger extras (host_tlb_misses), not the tlb_misses counter the
-        # conservation pins sum against.
-        h = self.h
-        page_of = (lambda hpn, _h=h: hpn * _h) if h != 1 else (lambda k: k)
-        return (("tlb", self.tlb, page_of), ("ram", self.ram, page_of))
+            ledger.ios += self.huge_page_size
 
     def shootdown(self, lo: int, hi: int) -> int:
-        h = self.h
-        victims = [
-            hpn for hpn in self.tlb.resident()
-            if hpn * h < hi and (hpn + 1) * h > lo
-        ]
-        ghost = self.tlb._ghost
-        for hpn in victims:
-            if ghost is not None:
-                ghost.invalidated(hpn)
-            self.tlb.remove(hpn)
+        dropped = super().shootdown(lo, hi)
         # nested entries: data-page translations (depth 0) are keyed by the
         # full vpn; page-table nodes at depth d cover an aligned prefix
         # range. Nodes wholly inside the range are tenant-private and
@@ -158,10 +114,7 @@ class NestedTranslationMM(MemoryManagementAlgorithm):
                 nested_victims.append((depth, prefix))
         for key in nested_victims:
             self.nested_tlb.remove(key)
-        return len(victims) + len(nested_victims)
-
-    def _eviction_count(self) -> int:
-        return self.ram.evictions
+        return dropped + len(nested_victims)
 
     def inspector(self) -> MMInspector:
         return _NestedInspector(self)

@@ -28,10 +28,9 @@ whose merge is associative, so sharded runs reduce bit-identically.
 
 The probe is ``batch_safe``: classification rides the structures' own miss
 paths, not per-access probe events, so the vectorized MM fast paths stay
-enabled. The array engine replays provenance sparsely from its kernels'
-eviction death positions for the base-page/physical-huge family and
-silently falls back to the object engine elsewhere (pinned by a contract
-test).
+enabled. Every array-engine handler replays provenance sparsely from its
+kernels' miss and eviction death positions, so attaching the probe never
+moves a segment to the object engine (pinned by a contract test).
 
 ASIDs are derived from the page striding of
 :meth:`~repro.mmu.base.MemoryManagementAlgorithm.bind_asid_space`: under a
@@ -264,10 +263,8 @@ class AttributionProbe(Probe):
 
     Attach with :meth:`observe`, which installs one :class:`_SiteGhost` per
     structure the algorithm exposes via
-    :meth:`~repro.mmu.base.MemoryManagementAlgorithm.attribution_sites` and
-    marks the machine as provenance-observed (``mm._provenance``) so the
-    array engine knows when to replay provenance (hugepage family) or
-    decline to the object engine (everything else).
+    :meth:`~repro.mmu.base.MemoryManagementAlgorithm.attribution_sites`;
+    both engines feed those ghosts the same miss and eviction sequence.
 
     The probe may also be installed as ``mm.probe`` (e.g. by the hot-loop
     harness): it is ``batch_safe`` with a no-op :meth:`on_batch`, so every
@@ -329,21 +326,14 @@ class AttributionProbe(Probe):
             struct._ghost = ghost
             ghosts.append((struct, ghost))
         self._ghosts = tuple(ghosts)
-        target._provenance = self
-        if target is not mm:
-            mm._provenance = self
         return self
 
-    def detach(self, mm=None) -> None:
-        """Remove this probe's ghosts (and provenance marks, if *mm* given)."""
+    def detach(self) -> None:
+        """Remove this probe's ghosts from the structures it observes."""
         for struct, ghost in self._ghosts:
             if getattr(struct, "_ghost", None) is ghost:
                 struct._ghost = None
         self._ghosts = ()
-        if mm is not None:
-            for obj in (mm, getattr(mm, "inner", None)):
-                if obj is not None and getattr(obj, "_provenance", None) is self:
-                    obj._provenance = None
 
     def reset(self) -> None:
         """Zero the collected counters; ghost tags persist (caches stay warm).

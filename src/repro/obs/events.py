@@ -93,7 +93,7 @@ class Probe:
     ``batch_safe`` declares the probe's granularity contract: a batch-safe
     probe only needs :meth:`on_batch` — one callback per ``run()`` with the
     replayed VPNs and the ledger delta — and therefore keeps the array
-    engine and the ``_run_batch`` hooks in ``mmu/hugepage|decoupled|hybrid|thp``
+    engine and the physical-huge family's ``PageCache.access_many`` hook
     enabled. Probes that need per-access event ordering (``TraceRecorder``,
     ``StreamTap``, ``IntervalMetrics``) leave it False and force the
     per-access event replay.

@@ -2,8 +2,8 @@
 
 Full event tracing (:class:`~repro.obs.events.TraceRecorder`) needs one
 callback per event and therefore forces the original per-access replay —
-the PR 4 vectorized fast paths in ``mmu/hugepage|decoupled|hybrid|thp``
-self-disable. :class:`SamplingProbe` is the batch-safe alternative: it
+the array engine and the physical-huge family's ``PageCache.access_many``
+hook self-disable. :class:`SamplingProbe` is the batch-safe alternative: it
 declares ``batch_safe = True`` and consumes one :meth:`on_batch` callback
 per ``run()``, folding the *exact* ledger counter delta and a deterministic
 *sample* of the replayed VPNs, so the fast paths stay enabled and the

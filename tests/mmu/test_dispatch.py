@@ -3,7 +3,7 @@
 :meth:`repro.mmu.base.MemoryManagementAlgorithm.run` is the one place that
 decides how a trace is replayed: the per-access event replay for probes
 that are not batch-safe, otherwise one segment (or ``batch_interval``
-segments) through the array engine or the class's ``_run_batch`` hook,
+segments) through the array engine or the object engine's ``_run_batch``,
 with exactly one ``on_batch`` flush per segment. These tests pin that
 contract for every registry algorithm on both engines:
 
@@ -13,7 +13,10 @@ contract for every registry algorithm on both engines:
 * probes that are not batch-safe take ``_run_probed`` and never reach the
   array engine;
 * a subclass that redefines ``access`` without its own hook replays
-  through that ``access``; ``WritebackHugePageMM`` is one;
+  through that ``access``; ``WritebackHugePageMM`` and
+  ``NestedTranslationMM`` are two, and the physical-huge family's
+  ``PageCache.access_many`` is the only other hook;
+* ``HybridMM`` at ``chunk = 1`` is ``DecoupledMM``;
 * the per-class floor and ceiling (``array_engine._LIMITS``): a segment
   below the floor never reaches ``try_run``, and one above the ceiling
   reaches the handler as equal pieces, with the same state as the object
@@ -25,7 +28,16 @@ import numpy as np
 import pytest
 
 from repro.bench.hotloop import FAILURE_MMS, HOTLOOP_CONFIG, key_stream
-from repro.mmu import PhysicalHugePageMM, THPStyleMM, array_engine
+from repro.mmu import (
+    BasePageMM,
+    DecoupledMM,
+    HybridMM,
+    NestedTranslationMM,
+    PhysicalHugePageMM,
+    THPStyleMM,
+    WritebackHugePageMM,
+    array_engine,
+)
 from repro.mmu.base import MemoryManagementAlgorithm
 from repro.mmu.registry import ENGINES, MM_NAMES, make_mm
 from repro.obs import AttributionProbe, Probe, TraceRecorder
@@ -164,12 +176,38 @@ class TestAccessOverrides:
         assert mm.ledger.as_dict() == reference.ledger.as_dict()
 
     def test_hook_resolution(self):
+        """The object engine is ``access()``: the one hook that replaces
+        the per-access loop is the physical-huge family's
+        ``PageCache.access_many``, and subclasses that redefine ``access``
+        under it (nested, write-back, user subclasses) get the loop back."""
         base = MemoryManagementAlgorithm._run_batch
+        hooked = {n for n in MM_NAMES if type(_build(n, "object"))._run_batch is not base}
+        assert hooked == {"base-page", "physical-huge"}
+        assert BasePageMM._run_batch is PhysicalHugePageMM._run_batch
+        assert NestedTranslationMM._run_batch is base
+        assert WritebackHugePageMM._run_batch is base
         assert _CountingHugePage._run_batch is base
         assert _CountingTHP._run_batch is base
-        assert PhysicalHugePageMM._run_batch is not base
-        assert THPStyleMM._run_batch is not base
         assert not array_engine.supports(_CountingHugePage(TLB_ENTRIES, RAM_PAGES))
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_hybrid_with_chunk_one_is_plain_decoupling(self, engine):
+        """``HybridMM(ℓ, P, 1)`` is ``DecoupledMM(ℓ, P)``: same ledger, same
+        deep state, with the second half in 300-access calls (below the
+        decoupled floor, above the hybrid one)."""
+        machines = [
+            HybridMM(TLB_ENTRIES, RAM_PAGES, 1, seed=5),
+            DecoupledMM(TLB_ENTRIES, RAM_PAGES, seed=5),
+        ]
+        half = len(TRACE) // 2
+        for mm in machines:
+            mm.engine = engine
+            mm.run(TRACE[:half])
+            for lo in range(half, len(TRACE), 300):
+                mm.run(TRACE[lo : lo + 300])
+        hybrid, plain = machines
+        assert hybrid.ledger.as_dict() == plain.ledger.as_dict()
+        assert _state_sig(hybrid) == _state_sig(plain)
 
     def test_writeback_object_engine_takes_the_per_access_loop(self):
         mm = _build("physical-huge+wb", "object")

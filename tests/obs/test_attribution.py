@@ -5,15 +5,15 @@ every TLB/page miss gets exactly one cause, so the per-cause counts sum
 bit-identically to the ledger totals, and attaching the probe never
 changes a single simulated counter. These tests pin that over every
 registry algorithm × several stream shapes, on both engines, plus the
-array-engine contract: provenance replays vectorized for the
-base-page/physical-huge fold and silently falls back to the object
-replay everywhere else.
+array-engine contract: every class with a batch handler replays
+provenance vectorized, so an attributed segment stays on the array
+engine, paging-failure bailouts included.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench.hotloop import key_stream
+from repro.bench.hotloop import FAILURE_MMS, HOTLOOP_CONFIG, key_stream
 from repro.mmu import array_engine
 from repro.mmu.base import MemoryManagementAlgorithm
 from repro.mmu.registry import MM_NAMES, make_mm
@@ -36,10 +36,6 @@ STREAMS = {
     "uniform": lambda: key_stream(4000, 1 << 12, 1 << 8, 10, seed=SEED),
     "scan": lambda: [i % (1 << 10) for i in range(4000)],
 }
-
-#: algorithms whose array handler replays provenance vectorized; the rest
-#: must silently decline to the object engine under a provenance probe.
-ARRAY_PROVENANCE_MMS = ("base-page", "physical-huge")
 
 
 def _observed(algorithm, engine="object"):
@@ -91,20 +87,56 @@ class TestEngineContract:
         assert obj.ledger.as_dict() == arr.ledger.as_dict()
         assert p_obj.counts == p_arr.counts
         assert p_obj.matrix == p_arr.matrix
-        if algorithm in ARRAY_PROVENANCE_MMS:
+        if array_engine.supports(arr):
             assert engine_calls == [(len(trace), len(trace))]
 
     def test_array_engine_provenance_gate(self, algorithm):
-        """Hugepage-family handlers replay provenance in the array engine;
-        every other handler declines (silent object fallback)."""
+        """Attribution gates nothing: every class with a batch handler
+        serves the whole attributed trace on the array engine, and only a
+        class without one (thp) declines."""
         trace = np.asarray(STREAMS["skewed"](), dtype=np.int64)
-        mm, _probe = _observed(algorithm, engine="array")
-        supported = array_engine.supports(mm)
-        ledger = array_engine.try_run(mm, trace)
-        if algorithm in ARRAY_PROVENANCE_MMS:
-            assert supported and ledger is not None
+        mm, probe = _observed(algorithm, engine="array")
+        served = array_engine.try_run(mm, trace)
+        if array_engine.supports(mm):
+            assert served == len(trace)
+            assert probe.family_total("tlb") == mm.ledger.tlb_misses > 0
         else:
-            assert ledger is None  # falls back; run() covers it silently
+            assert served is None
+
+
+@pytest.mark.parametrize("step", [None, 700, 3_000], ids=["whole", "700", "3000"])
+@pytest.mark.parametrize("algorithm", sorted(FAILURE_MMS))
+def test_paging_failures_keep_attribution_on_the_array_engine(
+    algorithm, step, engine_calls
+):
+    """A paging failure bails the array engine out mid-segment; the ghosts
+    must have seen exactly the misses and evictions before the bailout, so
+    the object engine finishes the classification where the kernels
+    stopped."""
+    geom = FAILURE_MMS[algorithm]
+    trace = np.asarray(
+        key_stream(4_000, geom["universe"], geom["universe"] // 8, 50, seed=SEED),
+        dtype=np.int64,
+    )
+    step = step or len(trace)
+    runs = {}
+    for engine in ("object", "array"):
+        mm = make_mm(
+            algorithm, geom["tlb_entries"], geom["ram_pages"],
+            seed=HOTLOOP_CONFIG["fail_mm_seed"], engine=engine,
+        )
+        probe = AttributionProbe().observe(mm)
+        for lo in range(0, len(trace), step):
+            mm.run(trace[lo : lo + step])
+        runs[engine] = (mm.ledger.as_dict(), probe.counts, probe.matrix)
+    ledger = runs["object"][0]
+    assert ledger["paging_failures"] > 0
+    assert runs["array"] == runs["object"]
+    # the engine served every call whole up to the one holding the first
+    # failure, and that one up to its failing access
+    bailout = next(k for k, (n, served) in enumerate(engine_calls) if served != n)
+    n, served = engine_calls[bailout]
+    assert served is not None and 0 < served < n
 
 
 class TestCauses:
@@ -165,12 +197,11 @@ class TestApi:
         inner = make_mm("base-page", TLB_ENTRIES, RAM_PAGES, seed=SEED)
         mm = ValidatingMM(inner)
         probe = AttributionProbe().observe(mm)
-        assert inner._provenance is probe and mm._provenance is probe
+        assert inner.tlb._ghost is not None and inner.ram._ghost is not None
         mm.run(STREAMS["skewed"]())
         assert probe.family_total("tlb") == mm.ledger.tlb_misses
-        probe.detach(mm)
-        assert inner._provenance is None and mm._provenance is None
-        assert inner.tlb._ghost is None
+        probe.detach()
+        assert inner.tlb._ghost is None and inner.ram._ghost is None
 
     def test_probe_is_batch_safe(self):
         probe = AttributionProbe()
