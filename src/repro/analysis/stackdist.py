@@ -8,7 +8,7 @@ behind every "what if RAM were bigger" question in the paper's cost model,
 and a cross-check for :class:`~repro.paging.PageCache` with LRU.
 
 Implementation: everything is read off the previous-occurrence links
-``prev`` (:func:`prev_occurrence`, shared with the array engine's
+``prev`` (:func:`occurrence_links`, shared with the array engine's
 :class:`~repro.mmu.array_engine.StreamKernel` and the working-set code).
 With ``p = prev[i]``, the distance is the number of ``j`` in ``(p, i)``
 whose own previous occurrence lies at or before ``p``; every ``j <= p``
@@ -21,19 +21,21 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["stack_distances", "lru_miss_curve", "prev_occurrence", "COLD"]
+__all__ = ["stack_distances", "lru_miss_curve", "occurrence_links", "prev_occurrence", "COLD"]
 
 #: Stack distance reported for first-ever (compulsory) accesses.
 COLD = -1
 
 
-def prev_occurrence(keys) -> np.ndarray:
-    """``prev[i]``: the last position ``j < i`` with ``keys[j] == keys[i]``,
-    or ``-1`` for a first occurrence (int32).
+def occurrence_links(keys) -> tuple[np.ndarray, np.ndarray]:
+    """``(prev, nxt)``, int32: the last position before ``i`` and the first
+    after it that hold ``keys[i]``, or ``-1`` and ``n`` where there is none.
 
     One sort of the composite ``key * n + position``, in int32 when it
-    fits.  Keys that are negative or too large for an int64 composite are
-    ranked densely first, which leaves every link unchanged.
+    fits; each adjacent same-key pair ``(a, b)`` of the sorted order gives
+    ``prev[b] = a`` and ``nxt[a] = b``.  Keys that are negative or too
+    large for an int64 composite are ranked densely first, which leaves
+    every link unchanged.
     """
     keys = np.asarray(keys, dtype=np.int64)
     n = keys.size
@@ -46,10 +48,18 @@ def prev_occurrence(keys) -> np.ndarray:
     comp.sort()
     skey = comp // dt(n)
     spos = (comp - skey * dt(n)).astype(np.int32)
-    prev = np.full(n, -1, dtype=np.int32)
     w = (skey[1:] == skey[:-1]).nonzero()[0]
-    prev[spos[w + 1]] = spos[w]
-    return prev
+    a, b = spos[w], spos[w + 1]
+    prev = np.full(n, -1, dtype=np.int32)
+    prev[b] = a
+    nxt = np.full(n, n, dtype=np.int32)
+    nxt[a] = b
+    return prev, nxt
+
+
+def prev_occurrence(keys) -> np.ndarray:
+    """The ``prev`` links of :func:`occurrence_links` alone."""
+    return occurrence_links(keys)[0]
 
 
 def _count_smaller_before(v: np.ndarray) -> np.ndarray:

@@ -23,9 +23,10 @@ chain ``nxt``::
     d(i) = D(i) - rank2(p, i)
     rank2(p, v) = #{j <= p : nxt[j] >= v} = (p + 1) - count_less(p, v)
 
-where ``D(i)`` counts distinct keys before ``i``.  :class:`StreamKernel`
-resolves ``d(i) < C`` for every access with four O(n) tests, each exact,
-and one exact stage for the repeats they leave open:
+where ``D(i)`` counts distinct keys before ``i``; both chains come out of
+one sort (:func:`~repro.analysis.stackdist.occurrence_links`).
+:class:`StreamKernel` resolves ``d(i) < C`` for every access with four
+O(n) tests, each exact, and one exact stage for the repeats they leave open:
 
 1. ``gap <= C`` is a sure hit (the window cannot hold ``C`` distinct);
 2. ``D(i) <= C`` is a sure hit (the window holds at most ``D(i) - 1``
@@ -34,11 +35,11 @@ and one exact stage for the repeats they leave open:
 3. first occurrences are sure misses;
 4. ``D(i) - D(p) >= C`` is a sure miss (global first occurrences inside
    the window are all distinct there);
-5. every other repeat goes to a blocked dominance grid, a 2-D prefix-sum
-   checkpoint matrix over ``(j, nxt[j])``: its checkpoints bound
+5. every other repeat goes to a blocked dominance grid over the points
+   ``(j, nxt[j]) = (prev[x], x)``: its prefix-sum checkpoints bound
    ``count_less`` from both sides, and the queries the bounds leave open
    are counted exactly by scanning the two edge blocks around their
-   checkpoint.
+   checkpoint, a time block's row of ``nxt`` and a value block's of ``prev``.
 
 Eviction *order* falls out of the same arrays: a position dies iff its
 key's next occurrence is a miss (or it ages out of the final top-``C``),
@@ -79,7 +80,7 @@ from itertools import islice
 
 import numpy as np
 
-from ..analysis.stackdist import prev_occurrence
+from ..analysis.stackdist import occurrence_links, prev_occurrence
 from ..paging import LRUPolicy, PageCache
 from ..tlb import TLB
 from .classical import BasePageMM
@@ -128,21 +129,20 @@ class StreamKernel:
         else:
             allkeys = keys
         self.keys = allkeys
-        self.prev = prev = prev_occurrence(allkeys)
-        nxt = np.full(n, n, dtype=np.int32)
-        ii = np.flatnonzero(prev >= 0).astype(np.int32)
-        nxt[prev[ii]] = ii
-        self.nxt = nxt
+        self.prev, self.nxt = occurrence_links(allkeys)
         # D[i] = #global first occurrences in [0, i]; for a non-first
         # position i this equals the number of distinct keys in [0, i).
-        self.D = np.cumsum(prev < 0, dtype=np.int32)
+        self.D = np.cumsum(self.prev < 0, dtype=np.int32)
         self._pos = np.arange(n, dtype=np.int32)
         # long streams get coarser grid blocks: the checkpoint matrix
         # shrinks 4x while the per-query edge scans stay cheap
-        self._bt = self._bv = _BT if n < (1 << 17) else 2 * _BT
+        self._bt, self._bv = (_BT, _BV) if n < (1 << 17) else (2 * _BT, 2 * _BV)
         self._ns = None
         self._grid = None
+        # per-capacity answers, shared by a piece's handler and ghosts
         self._hit: dict[int, np.ndarray] = {}
+        self._miss: dict[int, np.ndarray] = {}
+        self._dies: dict[int, np.ndarray] = {}
 
     # ------------------------------------------------------ block grid
 
@@ -154,45 +154,32 @@ class StreamKernel:
     def _prepare_grid(self):
         if self._grid is None:
             n = self.n
-            nxt = self.nxt
+            prev = self.prev
             bt, bv = self._bt, self._bv
-            pj = np.flatnonzero(nxt < n).astype(np.int32)
-            pv = nxt[pj]
             ntb = (n + bt - 1) // bt
             nvb = (n + bv - 1) // bv
-            tb = pj // bt
-            vb = pv // bv
-            M = np.bincount(tb.astype(np.int64) * nvb + vb, minlength=ntb * nvb)
+            # the points (j, nxt[j]) are the pairs (prev[x], x) of repeats x
+            x = np.flatnonzero(prev >= 0)
+            M = np.bincount((prev[x] // bt).astype(np.int64) * nvb + x // bv, minlength=ntb * nvb)
             Acol = (
                 M.astype(np.int32).reshape(ntb, nvb).cumsum(axis=0, dtype=np.int32)
             )
             A = Acol.cumsum(axis=1, dtype=np.int32)
-            # A[a, b] = #points with pj < (a+1)*BT and pv < (b+1)*BV;
+            # A[a, b] = #points with j < (a+1)*BT and nxt[j] < (b+1)*BV;
             # Acol keeps the time-only prefix for the bucket-edge bound.
-            comp2 = vb.astype(np.int64) * n + pj
-            comp2.sort()
-            mvb = (comp2 // n).astype(np.int32)
-            marr = (comp2 - mvb.astype(np.int64) * n).astype(np.int32)
-            bpop = np.bincount(mvb, minlength=nvb).astype(np.int32)
-            bstart = np.cumsum(bpop, dtype=np.int32) - bpop
-            # nxt is injective where defined, so each value block holds
-            # at most bv members — the padded matrices stay small.
-            maxpop = int(bpop.max(initial=0))
-            col = np.arange(len(marr), dtype=np.int32) - bstart[mvb]
-            PJB = np.full((nvb, max(maxpop, 1)), n, dtype=np.int32)
-            PVB = np.full((nvb, max(maxpop, 1)), n, dtype=np.int32)
-            PJB[mvb, col] = marr
-            PVB[mvb, col] = nxt[marr]
+            # per-value-block rows of prev: block b's members are the
+            # repeats in [b*BV, (b+1)*BV) (first occurrences and pads n)
+            PB = np.full(nvb * bv, n, dtype=np.int32)
+            PB[:n] = np.where(prev >= 0, prev, n)
             # per-time-block rows of nxt (pad n: never < any query value)
             NB = np.full(ntb * bt, n, dtype=np.int32)
-            NB[:n] = nxt
-            NB = NB.reshape(ntb, bt)
-            self._grid = (A, Acol, PJB, PVB, NB)
+            NB[:n] = self.nxt
+            self._grid = (A, Acol, PB.reshape(nvb, bv), NB.reshape(ntb, bt))
         return self._grid
 
     def _grid_bounds(self, p: np.ndarray, v: np.ndarray):
         """Bounds on ``count_less(p, v) = #{j <= p : nxt[j] < v}``."""
-        A, Acol, PJB, PVB, NB = self._prepare_grid()
+        A, Acol = self._prepare_grid()[:2]
         tb = p // self._bt
         vbq = v // self._bv
         low = np.zeros(p.size, dtype=np.int32)
@@ -212,28 +199,29 @@ class StreamKernel:
         """Exact ``count_less`` for the queries the bounds left open, in
         blocks of rows whose edge-block temporaries hold at most
         ``_GRID_CELLS`` cells."""
-        A, Acol, PJB, PVB, NB = self._prepare_grid()
-        bt = self._bt
+        A, _Acol, PB, NB = self._prepare_grid()
+        bt, bv = self._bt, self._bv
         tb = p // bt
-        vbq = v // self._bv
+        vbq = v // bv
         t0 = tb * np.int32(bt)
+        vcut = v - vbq * np.int32(bv)
         out = np.zeros(p.size, dtype=np.int32)
         ok = (tb > 0) & (vbq > 0)
         out[ok] = A[tb[ok] - 1, vbq[ok] - 1]
-        ar = np.arange(bt, dtype=np.int32)
-        rows = max(_GRID_CELLS // max(bt, PJB.shape[1]), 1)
+        ar_t = np.arange(bt, dtype=np.int32)
+        ar_v = np.arange(bv, dtype=np.int32)
+        rows = max(_GRID_CELLS // max(bt, bv), 1)
         for lo in range(0, p.size, rows):
             b = slice(lo, lo + rows)
-            vcol = v[b, None]
             # partial time block [t0, p]: members with nxt < v (pads excluded)
             out[b] += np.sum(
-                (ar <= (p[b] - t0[b])[:, None]) & (NB[tb[b]] < vcol),
+                (ar_t <= (p[b] - t0[b])[:, None]) & (NB[tb[b]] < v[b, None]),
                 axis=1,
                 dtype=np.int32,
             )
-            # value block vbq: members with pj < t0 and pv < v
+            # value block vbq: repeats in [vbq*BV, v) whose prev is < t0
             out[b] += np.sum(
-                (PJB[vbq[b]] < t0[b, None]) & (PVB[vbq[b]] < vcol),
+                (PB[vbq[b]] < t0[b, None]) & (ar_v < vcut[b, None]),
                 axis=1,
                 dtype=np.int32,
             )
@@ -292,20 +280,22 @@ class StreamKernel:
         under LRU victims' last-access positions strictly increase over
         the run.
         """
-        n = self.n
-        nxt = self.nxt
-        hm = self.hit_mask(C)
-        inner = nxt < n
-        dies = np.zeros(n, dtype=bool)
-        dies[inner] = ~hm[nxt[inner]]
-        last = np.flatnonzero(~inner)
-        if last.size > C:
-            dies[last[:-C]] = True
-        return np.flatnonzero(dies)
+        if C not in self._dies:
+            nxt = self.nxt
+            inner = nxt < self.n
+            dies = np.zeros(self.n, dtype=bool)
+            dies[inner] = ~self.hit_mask(C)[nxt[inner]]
+            last = np.flatnonzero(~inner)
+            if last.size > C:
+                dies[last[:-C]] = True
+            self._dies[C] = np.flatnonzero(dies)
+        return self._dies[C]
 
     def miss_positions(self, C: int) -> np.ndarray:
         """Global positions (prefix coordinates included) of real misses."""
-        return np.flatnonzero(~self.hit_mask(C)[self.R :]) + self.R
+        if C not in self._miss:
+            self._miss[C] = np.flatnonzero(~self.hit_mask(C)[self.R :]) + self.R
+        return self._miss[C]
 
     def _last_touches(self, C: int, T: int) -> tuple[np.ndarray, np.ndarray]:
         """Each key's last touch before global position ``T``, split into
@@ -692,7 +682,7 @@ def _sync_decoupled(system, kern_t, lC: int, done: int, evicts: list) -> None:
     if tm:
         # fills stamp _clock - 1 at fill time; the monotonic floor never
         # engages mid-segment because miss stamps strictly increase
-        last_miss = int(np.flatnonzero(~kern_t.hit_mask(lC)[kern_t.R : T])[-1])
+        last_miss = int(kern_t.miss_positions(lC)[tm - 1]) - kern_t.R
         tlb._last_stamp = max(tlb._last_stamp, tlb._clock - done + last_miss)
     departed, moved = (a.tolist() for a in kern_t.order_delta(lC, T))
     _apply_delta(tlb.policy._order, departed, moved)

@@ -1,4 +1,5 @@
-"""Tests for Mattson stack distances and the one-pass LRU miss curve."""
+"""Tests for Mattson stack distances, the one-pass LRU miss curve, and the
+occurrence links both are read off."""
 
 from collections import OrderedDict
 
@@ -8,7 +9,58 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import COLD, lru_miss_curve, stack_distances
+from repro.analysis.stackdist import occurrence_links, prev_occurrence
 from repro.paging import LRUPolicy, PageCache
+
+
+def _links_reference(keys):
+    """``(prev, nxt)`` by walking the stream with a dict of last positions."""
+    n = len(keys)
+    prev, nxt = [-1] * n, [n] * n
+    last = {}
+    for i, key in enumerate(keys):
+        j = last.get(key)
+        if j is not None:
+            prev[i] = j
+            nxt[j] = i
+        last[key] = i
+    return prev, nxt
+
+
+#: key offsets that steer the composite sort: small keys fit an int32
+#: composite, keys near 2**40 need int64, and keys near +-2**62 (whose
+#: composite overflows int64) or negative keys are ranked densely first.
+COMPOSITE_OFFSETS = (0, 1 << 40, (1 << 62) - 40, -(1 << 62), -20)
+
+
+class TestOccurrenceLinks:
+    @pytest.mark.parametrize("offset", COMPOSITE_OFFSETS)
+    @given(keys=st.lists(st.integers(0, 40), max_size=200))
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_dict_walk(self, offset, keys):
+        keys = [offset + k for k in keys]
+        prev, nxt = occurrence_links(np.asarray(keys, dtype=np.int64))
+        assert prev.dtype == nxt.dtype == np.int32
+        assert (prev.tolist(), nxt.tolist()) == _links_reference(keys)
+        assert np.array_equal(prev_occurrence(keys), prev)
+
+    @given(st.lists(st.integers(-3, 12), max_size=200))
+    @settings(max_examples=60, deadline=None)
+    def test_prev_and_nxt_are_mutual_inverses(self, keys):
+        prev, nxt = occurrence_links(keys)
+        n = len(keys)
+        repeats = np.flatnonzero(prev >= 0)
+        followed = np.flatnonzero(nxt < n)
+        assert np.array_equal(nxt[prev[repeats]], repeats)
+        assert np.array_equal(prev[nxt[followed]], followed)
+        assert repeats.size == followed.size == n - len(set(keys))
+
+    def test_empty_and_one_element(self):
+        prev, nxt = occurrence_links([])
+        assert prev.shape == nxt.shape == (0,)
+        assert prev.dtype == nxt.dtype == np.int32
+        for key in (0, 7, -5, (1 << 63) - 1):
+            assert [a.tolist() for a in occurrence_links([key])] == [[-1], [1]]
 
 
 class TestStackDistances:

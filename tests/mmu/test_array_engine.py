@@ -8,8 +8,11 @@ boundary. These tests pin that promise:
 
 * :class:`StreamKernel` against a brute-force LRU oracle (hits, victims
   in order, final residents) across randomized small streams, a
-  Hypothesis property near the capacity, and streams whose footprint is
-  exactly the capacity or one past it (the footprint bound);
+  Hypothesis property near the capacity and on cyclic and strided scans
+  past it, and streams whose footprint is exactly the capacity or one
+  past it (the footprint bound);
+* the dominance grid's bounds and exact count against a brute-force
+  count of every query on a kernel with a warm prefix;
 * its hit masks against :func:`repro.analysis.stack_distances` on long
   streams (Figure 1a's trace at three huge-page sizes, a 200 k zipf trace,
   a windowed warm start), which reach the dominance grid's bounds and its
@@ -163,6 +166,21 @@ class TestStreamKernel:
         assert kern.hit_mask(cap).tolist() == hits
         assert kern.keys[kern.deaths(cap)].tolist() == victims
 
+    def test_miss_and_death_positions_are_kept_per_capacity(self):
+        # a cold piece's TLB and RAM share one kernel, queried at two
+        # capacities in turn: each query returns its own capacity's
+        # positions, computed once
+        rng = np.random.default_rng(7)
+        seg = rng.integers(0, 200, 3_000).astype(np.int64)
+        kern = StreamKernel(seg)
+        for cap in (16, 96, 16):
+            hits, victims, _ = _lru_oracle(seg.tolist(), (), cap)
+            misses = [i for i, hit in enumerate(hits) if not hit]
+            assert kern.miss_positions(cap).tolist() == misses, cap
+            assert kern.keys[kern.deaths(cap)].tolist() == victims, cap
+            assert kern.deaths(cap) is kern.deaths(cap)
+            assert kern.miss_positions(cap) is kern.miss_positions(cap)
+
     def test_residents_at_reconstructs_mid_stream_state(self):
         rng = np.random.default_rng(5)
         seg = rng.integers(0, 50, 300).astype(np.int64)
@@ -292,21 +310,34 @@ class TestStreamKernel:
         assert calls == []
 
     @given(st.data())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_property_matches_oracle_near_capacity(self, data):
         # universes within 2 of the capacity, one-shot keys, warm
-        # prefixes, and short segments whose kernel is windowed
+        # prefixes, and short segments whose kernel is windowed; and scans
+        # over C + 1 to 2C keys, cyclic or strided page scans cut into
+        # huge pages, whose repeats mostly reach the grid's exact count
         cap = data.draw(st.integers(1, 40), label="cap")
-        universe = max(1, cap + data.draw(st.integers(-2, 2), label="skew"))
-        short = data.draw(st.booleans(), label="short")
-        seg = data.draw(
-            st.lists(
-                st.integers(0, universe - 1),
-                min_size=1 if short else cap + 1,
-                max_size=max(1, cap // 2) if short else 6 * cap,
-            ),
-            label="seg",
-        )
+        shape = data.draw(st.sampled_from(("random", "cyclic", "strided")), label="shape")
+        if shape == "random":
+            universe = max(1, cap + data.draw(st.integers(-2, 2), label="skew"))
+            short = data.draw(st.booleans(), label="short")
+            seg = data.draw(
+                st.lists(
+                    st.integers(0, universe - 1),
+                    min_size=1 if short else cap + 1,
+                    max_size=max(1, cap // 2) if short else 6 * cap,
+                ),
+                label="seg",
+            )
+        else:
+            universe = data.draw(st.integers(cap + 1, 2 * cap), label="universe")
+            length = data.draw(st.integers(1, 8 * universe), label="length")
+            unit = stride = 1
+            if shape == "strided":
+                unit = data.draw(st.integers(1, 4), label="unit")
+                stride = data.draw(st.integers(1, 2 * unit), label="stride")
+            span = universe * unit
+            seg = [k * stride % span // unit for k in range(length)]
         one_shots = data.draw(st.integers(0, 3), label="one_shots")
         for key in range(universe + 4, universe + 4 + one_shots):
             seg.insert(data.draw(st.integers(0, len(seg))), key)
@@ -322,6 +353,31 @@ class TestStreamKernel:
         assert kern.keys[kern.deaths(C)].tolist() == victims
         array_engine._apply_delta(order, *(a.tolist() for a in kern.order_delta(C)))
         assert list(order) == residents
+
+
+@pytest.mark.parametrize("bt, bv", [(128, 128), (32, 64), (64, 16)])
+def test_grid_matches_brute_force_with_a_warm_prefix(bt, bv, monkeypatch):
+    # a 400-key warm prefix puts 400 first occurrences, pads in the grid's
+    # value-block table, ahead of a 600-access segment that revisits them
+    # and adds keys of its own: for every (p, v) the grid can be asked,
+    # its bounds bracket and its exact count equals #{j <= p : nxt[j] < v},
+    # at the default block sizes and at unequal ones
+    monkeypatch.setattr(array_engine, "_BT", bt)
+    monkeypatch.setattr(array_engine, "_BV", bv)
+    rng = np.random.default_rng(37)
+    prefix = rng.permutation(1000)[:400].tolist()
+    seg = np.where(
+        rng.random(600) < 0.5, rng.choice(prefix, 600), rng.integers(0, 1000, 600)
+    )
+    kern = StreamKernel(seg, prefix)
+    n = kern.n
+    assert np.count_nonzero(kern.prev < 0) > n // 2
+    less = np.cumsum(kern.nxt[:, None] < np.arange(n), axis=0, dtype=np.int32)
+    p, v = (a.astype(np.int32) for a in np.indices((n, n)).reshape(2, -1))
+    want = less[p, v]
+    lo, hi = kern._grid_bounds(p, v)
+    assert np.all(lo <= want) and np.all(want <= hi)
+    assert np.array_equal(kern._grid_exact(p, v), want)
 
 
 # Long streams, checked against the exact stack distances of

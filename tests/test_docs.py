@@ -43,6 +43,31 @@ class TestDocReferences:
             mod = importlib.import_module(module)
             assert hasattr(mod, attr), f"doc references missing symbol {dotted}"
 
+    def test_module_map_lists_every_module(self):
+        """DESIGN.md §5 names exactly the modules under ``src/repro``
+        (the packages' ``__init__.py`` files aside): a line ending in
+        ``/`` opens a package, and a line's leading ``*.py`` words are
+        its modules."""
+        design = (ROOT / "DESIGN.md").read_text()
+        block = design.split("## 5. Module map", 1)[1].split("```")[1]
+        listed, package = set(), ""
+        for line in block.splitlines():
+            words = line.split()
+            if words and words[0].endswith("/"):
+                package = "" if words[0] == "src/repro/" else words[0]
+                continue
+            for word in words:
+                if not word.endswith(".py"):
+                    break
+                listed.add(package + word)
+        src = ROOT / "src" / "repro"
+        tree = {
+            p.relative_to(src).as_posix()
+            for p in src.rglob("*.py")
+            if p.name != "__init__.py"
+        }
+        assert listed == tree, (sorted(listed - tree), sorted(tree - listed))
+
     def test_mentioned_benchmarks_exist(self):
         bench_dir = ROOT / "benchmarks"
         for name in sorted(set(_BENCH_RE.findall(_doc_text()))):
