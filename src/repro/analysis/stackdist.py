@@ -27,16 +27,12 @@ __all__ = ["stack_distances", "lru_miss_curve", "occurrence_links", "prev_occurr
 COLD = -1
 
 
-def occurrence_links(keys) -> tuple[np.ndarray, np.ndarray]:
-    """``(prev, nxt)``, int32: the last position before ``i`` and the first
-    after it that hold ``keys[i]``, or ``-1`` and ``n`` where there is none.
-
-    One sort of the composite ``key * n + position``, in int32 when it
-    fits; each adjacent same-key pair ``(a, b)`` of the sorted order gives
-    ``prev[b] = a`` and ``nxt[a] = b``.  Keys that are negative or too
-    large for an int64 composite are ranked densely first, which leaves
-    every link unchanged.
-    """
+def _same_key_pairs(keys) -> tuple[int, np.ndarray, np.ndarray]:
+    """``(n, a, b)``: the length of *keys* and every pair of consecutive
+    positions ``a < b`` holding the same key, from one sort of the
+    composite ``key * n + position``, in int32 when it fits.  Keys that
+    are negative or too large for an int64 composite are ranked densely
+    first, which leaves every pair unchanged."""
     keys = np.asarray(keys, dtype=np.int64)
     n = keys.size
     maxkey = int(keys.max()) + 1 if n else 1
@@ -49,17 +45,32 @@ def occurrence_links(keys) -> tuple[np.ndarray, np.ndarray]:
     skey = comp // dt(n)
     spos = (comp - skey * dt(n)).astype(np.int32)
     w = (skey[1:] == skey[:-1]).nonzero()[0]
-    a, b = spos[w], spos[w + 1]
+    return n, spos[w], spos[w + 1]
+
+
+def _prev_links(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     prev = np.full(n, -1, dtype=np.int32)
     prev[b] = a
+    return prev
+
+
+def occurrence_links(keys) -> tuple[np.ndarray, np.ndarray]:
+    """``(prev, nxt)``, int32: the last position before ``i`` and the first
+    after it that hold ``keys[i]``, or ``-1`` and ``n`` where there is none.
+
+    Each pair ``(a, b)`` of consecutive same-key positions (one sort, see
+    :func:`_same_key_pairs`) gives ``prev[b] = a`` and ``nxt[a] = b``.
+    """
+    n, a, b = _same_key_pairs(keys)
     nxt = np.full(n, n, dtype=np.int32)
     nxt[a] = b
-    return prev, nxt
+    return _prev_links(n, a, b), nxt
 
 
 def prev_occurrence(keys) -> np.ndarray:
-    """The ``prev`` links of :func:`occurrence_links` alone."""
-    return occurrence_links(keys)[0]
+    """The ``prev`` links of :func:`occurrence_links` alone, from the same
+    sort, without building ``nxt``."""
+    return _prev_links(*_same_key_pairs(keys))
 
 
 def _count_smaller_before(v: np.ndarray) -> np.ndarray:

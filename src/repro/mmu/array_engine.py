@@ -1,18 +1,17 @@
 """Struct-of-arrays batch simulation engine, the default (``engine="array"``).
 
 The object engine replays traces access by access through ``PageCache`` /
-``TLB`` objects; this module replays whole trace segments as numpy array
-passes and synchronizes the object state once per segment, so counters,
-replacement order, and clocks come out bit-identical to the object engine
-(CI's engine-parity job enforces this on the golden streams).
+``TLB`` objects; this module replays one piece of a trace segment as numpy
+array passes and synchronizes the object state once per piece, so
+counters, replacement order, and clocks come out bit-identical to the
+object engine (CI's engine-parity job enforces this on the golden streams).
 
-Which engine serves a segment is decided per segment from one table,
-:data:`_LIMITS`, which gives each handled class a floor and a ceiling.
-:meth:`~repro.mmu.base.MemoryManagementAlgorithm.run` keeps a segment
-shorter than the floor on the object engine, where a short call is
-cheaper; :func:`try_run` has no floor and serves a segment longer than
-the ceiling as equal pieces no longer than it, so a call's time and
-memory grow linearly with its length.
+:meth:`~repro.mmu.base.MemoryManagementAlgorithm.run` cuts every segment
+into equal pieces of at most ``base._PIECE`` (2^14) accesses, so a
+call's time and memory grow linearly with its length, and decides per
+piece which engine serves it from one table, :data:`_FLOORS`: a piece
+shorter than its class's floor stays on the object engine, where a short
+call is cheaper.  :func:`try_run` serves exactly one piece, at any length.
 
 The core identity: an LRU cache of capacity ``C`` hits access ``i`` iff
 the *stack distance* — the number of distinct keys strictly between the
@@ -65,8 +64,8 @@ dirty-at-eviction replay) and NestedTranslationMM (plus the 2-D walk as a
 derived LRU stream over page-table node keys).  :func:`_run_decoupled`
 serves Theorem 4's ``Z``, DecoupledMM and its chunked HybridMM: RAM
 misses replay sparsely through the real scheme, and a paging failure
-mid-segment bails out with state synchronized at the failing access, so
-``run`` finishes the segment on the object engine.  Both folds replay
+mid-piece bails out with state synchronized at the failing access, so
+``run`` finishes the piece on the object engine.  Both folds replay
 miss-attribution ghosts from the kernels' miss and death positions, so
 an attributed segment stays on this engine.  Handlers are keyed by exact
 class, so subclasses (which may redefine ``access``) never match.
@@ -80,7 +79,7 @@ from itertools import islice
 
 import numpy as np
 
-from ..analysis.stackdist import occurrence_links, prev_occurrence
+from ..analysis.stackdist import occurrence_links
 from ..paging import LRUPolicy, PageCache
 from ..tlb import TLB
 from .classical import BasePageMM
@@ -488,22 +487,6 @@ def _run_hugepage(mm, trace: np.ndarray):
     return len(trace)
 
 
-def _per_key_store_counts(keys: np.ndarray, marks: np.ndarray) -> np.ndarray:
-    """``sk[i]`` = stores to ``keys[i]`` in ``[0, i]`` (inclusive)."""
-    order = np.argsort(keys, kind="stable")
-    sk_sorted = keys[order]
-    mk = marks[order].astype(np.int64)
-    csum = np.cumsum(mk)
-    idx = np.arange(order.size, dtype=np.int64)
-    grp = np.empty(order.size, dtype=bool)
-    grp[0] = True
-    grp[1:] = sk_sorted[1:] != sk_sorted[:-1]
-    gstart = np.maximum.accumulate(np.where(grp, idx, 0))
-    sk = np.empty(order.size, dtype=np.int64)
-    sk[order] = csum - (csum[gstart] - mk[gstart])
-    return sk
-
-
 def _run_writeback(mm, trace: np.ndarray):
     """Write-back: the paged fold plus store sampling and dirty flushes.
 
@@ -517,48 +500,39 @@ def _run_writeback(mm, trace: np.ndarray):
     if not (_plain_lru(mm.tlb) and _plain_lru(mm.ram)):
         return None
     _kern_t, _tC, kern, C = _paged_fold(mm, trace)
-    h = mm.huge_page_size
     wf = mm.write_fraction
     marks = np.zeros(kern.n, dtype=bool)
     if wf:
         marks[kern.R :] = mm._rng.random(len(trace)) < wf
-    # pages dirty at segment entry stay dirty until their next eviction:
+    # pages dirty at piece entry stay dirty until their next eviction:
     # mark their prefix pseudo-access as a store
     dirty_set = mm._dirty
     if dirty_set:
         for idx, key in enumerate(kern.keys[: kern.R].tolist()):
             if key in dirty_set:
                 marks[idx] = True
-    deaths = kern.deaths(C)
-    ledger = mm.ledger
-    sk = None
-    if marks.any():
-        sk = _per_key_store_counts(kern.keys, marks)
-    if deaths.size and sk is not None:
-        # previous eviction of each victim's key: its latest earlier
-        # death, via the prev-chain of the death sub-stream
-        dchain = prev_occurrence(kern.keys[deaths])
-        flush = np.where(dchain >= 0, deaths[np.maximum(dchain, 0)], -1)
-        sk_flush = np.where(flush >= 0, sk[np.maximum(flush, 0)], 0)
-        # a death position is the victim's final pre-eviction access, so
-        # sk there already counts every store of the residency
-        dirty = (sk[deaths] - sk_flush) > 0
-        nwb = int(np.count_nonzero(dirty))
-        ledger.extra["writebacks"] += nwb
-        ledger.extra["writeback_ios"] += nwb * h
-    # final dirty set: the kernel's residents with a store since their
-    # last eviction.  Without any store no kernel key is dirty before or
-    # after, and residents outside the window keep their bits either way.
-    if sk is not None:
-        dirty_set.difference_update(kern.keys.tolist())
-        last_death: dict[int, int] = {}
-        for d in deaths.tolist():
-            last_death[int(kern.keys[d])] = d
-        for a in kern._last_touches(C, kern.n)[1].tolist():
-            key = int(kern.keys[a])
-            base = last_death.get(key)
-            if sk[a] - (sk[base] if base is not None else 0) > 0:
-                dirty_set.add(key)
+    if not marks.any():
+        return len(trace)  # no kernel key is dirty before or after
+    # every store and every death, in position order, a store before the
+    # death at its own position (a death position is the victim's last
+    # access, so its store belongs to the residency the death ends)
+    events = np.concatenate((np.flatnonzero(marks) << 1, (kern.deaths(C) << 1) | 1))
+    events.sort()
+    death = (events & 1).astype(bool)
+    keys = kern.keys[events >> 1]
+    prev, nxt = occurrence_links(keys)
+    # a victim is dirty iff its key's previous event is a store: one since
+    # its previous eviction, or since the piece began
+    before = prev[death]
+    nwb = int(np.count_nonzero((before >= 0) & ~death[before]))
+    mm.ledger.extra["writebacks"] += nwb
+    mm.ledger.extra["writeback_ios"] += nwb * mm.huge_page_size
+    # final dirty set: the keys whose last event is a store (a key evicted
+    # after its last store ends on a death).  Every dirty resident the
+    # piece touches is in the prefix, and residents outside the window
+    # keep their bits.
+    dirty_set.difference_update(kern.keys[: kern.R].tolist())
+    dirty_set.update(keys[(nxt == events.size) & ~death].tolist())
     return len(trace)
 
 
@@ -615,7 +589,7 @@ def _run_decoupled(mm, trace: np.ndarray):
     number of accesses completed: the full length normally, or — after a
     paging failure, whose costs recur per access — the index just past
     the failing access, with all state synchronized there so the caller
-    can finish the segment on the object engine. Attribution ghosts replay
+    can finish the piece on the object engine. Attribution ghosts replay
     the misses and evictions of those accesses only.
     """
     system = mm.system
@@ -715,27 +689,21 @@ _HANDLERS = {
     HybridMM: _run_decoupled,
 }
 
-#: ``(floor, ceiling)`` segment lengths per handled class, in accesses.
-#: ``run()`` sends a segment shorter than the floor to the object engine,
-#: which is faster there (a call's kernels, warm window and sync cost a
-#: fixed overhead); :func:`try_run` serves a segment longer than the
-#: ceiling as equal pieces no longer than it (a kernel's dominance grid
-#: grows with the square of its length).  The decoupled schemes get a
-#: higher ceiling because ``DecouplingScheme.apply_events`` folds each
-#: page's ψ state once per call.  Floors fitted on warm machines replaying
-#: the hotloop preset's second half in calls of 64, 256, 1,024, 4,096 and
-#: 25,000 accesses, with each crossover re-checked between its grid points
-#: (base-page between 4,096 and 8,192), and on 8-tenant span replays (the
-#: hotloop ``@t8`` rows).
-#: Keyed like :data:`_HANDLERS` (a unit test holds the two to the same
-#: classes).
-_LIMITS = {
-    BasePageMM: (4096, 1 << 14),
-    PhysicalHugePageMM: (2048, 1 << 14),
-    WritebackHugePageMM: (1024, 1 << 14),
-    NestedTranslationMM: (128, 1 << 14),
-    DecoupledMM: (512, 1 << 17),
-    HybridMM: (256, 1 << 17),
+#: Floor per handled class, in accesses: ``run()`` sends a piece shorter
+#: than it to the object engine, which is faster there (a call's kernels,
+#: warm window and sync cost a fixed overhead).  Fitted on warm machines
+#: replaying the hotloop preset's second half in calls of 64, 256, 1,024,
+#: 4,096 and 25,000 accesses, with each crossover re-checked between its
+#: grid points (base-page between 4,096 and 8,192), and on 8-tenant span
+#: replays (the hotloop ``@t8`` rows).  Keyed like :data:`_HANDLERS` (a
+#: unit test holds the two to the same classes).
+_FLOORS = {
+    BasePageMM: 4096,
+    PhysicalHugePageMM: 2048,
+    WritebackHugePageMM: 1024,
+    NestedTranslationMM: 128,
+    DecoupledMM: 512,
+    HybridMM: 256,
 }
 
 
@@ -745,38 +713,23 @@ def supports(mm) -> bool:
     return type(mm) in _HANDLERS
 
 
-def try_run(mm, trace):
-    """Run one segment of *trace* through the batch engine, at any length.
+def try_run(mm, piece):
+    """Run one piece of a segment through the batch engine, at any length.
 
-    A segment longer than the class's ceiling (:data:`_LIMITS`) is served
-    as equal pieces, each no longer than the ceiling, one handler call
-    apiece.  Returns the number of leading accesses served — the whole
-    segment, or, after a paging failure in any piece, the accesses
-    through the failing one, or the pieces served before a handler
-    declined — or ``None`` meaning "use the object engine": no handler
-    for *mm*'s exact class, a non-LRU policy, scheme state the batch
-    replay can't honor (pre-existing paging failures), an allocator
-    without a bulk replay, or nested walk keys beyond int64. The floor,
-    finishing a segment on the object engine, probe dispatch and
+    Returns the number of leading accesses served — the whole piece, or,
+    after a paging failure, the accesses through the failing one — or
+    ``None`` meaning "use the object engine": no handler for *mm*'s exact
+    class, a non-LRU policy, scheme state the batch replay can't honor
+    (pre-existing paging failures), an allocator without a bulk replay, or
+    nested walk keys beyond int64.  Cutting segments into pieces, the
+    floor, finishing a piece on the object engine, probe dispatch and
     ``on_batch`` flushes are
     :meth:`~repro.mmu.base.MemoryManagementAlgorithm.run`'s job.
     """
     handler = _HANDLERS.get(type(mm))
     if handler is None:
         return None
-    arr = np.asarray(trace)
+    arr = np.asarray(piece)
     if arr.ndim != 1 or arr.dtype.kind not in "iu":
-        arr = np.asarray([int(x) for x in trace], dtype=np.int64)
-    arr = arr.astype(np.int64, copy=False)
-    n = arr.size
-    pieces = -(-n // _LIMITS[type(mm)][1])
-    done = 0
-    for k in range(pieces):
-        piece = arr[k * n // pieces : (k + 1) * n // pieces]
-        served = handler(mm, piece)
-        if served is None:
-            return done or None
-        done += served
-        if served < piece.size:
-            break  # a paging failure: run() finishes on the object engine
-    return done
+        arr = np.asarray([int(x) for x in piece], dtype=np.int64)
+    return handler(mm, arr.astype(np.int64, copy=False))

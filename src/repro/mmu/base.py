@@ -9,14 +9,17 @@ are interchangeable inside :mod:`repro.sim`.
 
 Every algorithm carries an optional :class:`~repro.obs.events.Probe`
 (``NULL_PROBE`` by default). :meth:`MemoryManagementAlgorithm.run` is the
-one dispatch point: a probe that needs per-access events gets an
-instrumented loop deriving typed events (``access``, ``tlb_miss``, ``io``,
-``eviction``, ``decoding_miss``) from per-access ledger deltas, so all
-algorithms are observable without touching their ``access``
-implementations; everything else replays segment by segment through the
-array engine (the default, for segments at least as long as the class's
-floor) or the object engine's ``_run_batch`` (the ``access`` loop), with
-one ``on_batch`` flush per segment when a batch-safe probe is attached.
+one dispatch point and holds the one piece loop: it cuts every segment
+into equal pieces of at most ``_PIECE`` accesses, so the memory of a
+replay is bounded by the piece size on every path, whatever the segment
+length. A probe that needs per-access events gets an instrumented loop
+deriving typed events (``access``, ``tlb_miss``, ``io``, ``eviction``,
+``decoding_miss``) from per-access ledger deltas, so all algorithms are
+observable without touching their ``access`` implementations; everything
+else replays piece by piece through the array engine (the default, for
+pieces at least as long as the class's floor) or the object engine's
+``_run_batch`` (the ``access`` loop), with one ``on_batch`` flush per
+segment when a batch-safe probe is attached.
 
 **ASID access contract.** Multi-tenant simulation (:mod:`repro.tenancy`)
 shares one algorithm instance between address spaces. The contract is
@@ -47,6 +50,13 @@ from ..core import CostLedger
 from ..obs.events import NULL_PROBE, Probe
 
 __all__ = ["MemoryManagementAlgorithm", "MMInspector", "as_int_list"]
+
+#: The ceiling of every piece, in accesses: the longest stretch
+#: :meth:`MemoryManagementAlgorithm.run` hands either engine at once.  The
+#: object engine materializes its piece as Python ints (about 40 bytes an
+#: access), and an array-engine kernel's dominance grid grows with the
+#: square of its length.
+_PIECE = 1 << 14
 
 
 class MMInspector:
@@ -151,12 +161,12 @@ class MemoryManagementAlgorithm(ABC):
     def __init__(self) -> None:
         self.ledger = CostLedger()
         #: simulation engine: ``"array"`` (the default) offers each
-        #: segment at least as long as the class's floor to the
+        #: piece at least as long as the class's floor to the
         #: struct-of-arrays batch engine (:mod:`repro.mmu.array_engine`)
         #: and replays the rest on the object engine, as it does whatever
         #: no batch handler takes (no handler for the exact class, non-LRU
         #: policy, pending paging failures); ``"object"`` replays every
-        #: segment on the object engine, the reference parity tests force.
+        #: piece on the object engine, the reference parity tests force.
         self.engine: str = "array"
         #: observer of this algorithm's events; NULL_PROBE means unobserved.
         self.probe: Probe = NULL_PROBE
@@ -281,51 +291,54 @@ class MemoryManagementAlgorithm(ABC):
     def run(self, trace) -> CostLedger:
         """Service every request in *trace*; return this algorithm's ledger.
 
-        The one dispatch point. A probe that is not batch-safe gets the
-        per-access event replay (:meth:`_run_probed`). Otherwise the trace
-        is one segment — or ``batch_interval``-access segments for a live
-        probe. With ``engine == "array"``, a segment at least as long as
-        its class's floor (``array_engine._LIMITS``) goes to the array
-        engine, which serves it in pieces no longer than the class's
-        ceiling; a shorter one, or one no handler accepts, runs through
-        :meth:`_run_batch`, and an array-engine bailout (a paging failure
-        in any piece) hands the rest of its segment to :meth:`_run_batch`.
-        An attached probe receives exactly one ``on_batch`` flush per
-        segment. With :attr:`asid_ledgers` bound, the array engine credits
-        them per access and the object paths per same-ASID stretch
+        The one dispatch point. The trace is one segment, or
+        ``batch_interval``-access segments for a live batch-safe probe,
+        and each segment is cut into equal pieces of at most ``_PIECE``
+        accesses. A probe that is not batch-safe gets the per-access event
+        replay (:meth:`_run_probed`) of every piece. Otherwise, with
+        ``engine == "array"``, a piece at least as long as its class's
+        floor (``array_engine._FLOORS``) is offered to the array engine;
+        a shorter piece, one the engine declines, and the rest of a piece
+        after a paging failure run through :meth:`_run_batch`, and the
+        next piece is offered again. An attached batch-safe probe receives
+        exactly one ``on_batch`` flush per segment. With
+        :attr:`asid_ledgers` bound, the array engine credits them per
+        access and the object paths per same-ASID stretch
         (:meth:`_replay_credited`). Counters and deep state are
         bit-identical on every path.
         """
         probe = self.probe
-        if probe.enabled and not probe.batch_safe:
-            self._replay_credited(self._run_probed, trace)
-            return self.ledger
-        observed = probe.enabled
-        interval = probe.batch_interval if observed else None
-        if interval is None:
-            segments = (trace,)
-        else:
-            segments = (trace[i : i + interval] for i in range(0, len(trace), interval))
+        observed = probe.enabled and probe.batch_safe
+        replay = self._run_batch
         engine = None
-        if self.engine == "array":
+        if probe.enabled and not observed:
+            replay = self._run_probed
+        elif self.engine == "array":
             # imported here: its handler table imports the algorithm
             # classes, which import this module
             from . import array_engine as engine
 
             # a class without a handler gets floor 0: try_run declines it
-            floor = engine._LIMITS.get(type(self), (0,))[0]
+            floor = engine._FLOORS.get(type(self), 0)
+        interval = probe.batch_interval if observed else None
+        if interval is None:
+            segments = (trace,)
+        else:
+            segments = (trace[i : i + interval] for i in range(0, len(trace), interval))
         ledger = self.ledger
         for segment in segments:
             if observed:
                 t0 = ledger.accesses
                 before = ledger.snapshot()
-            done = 0
-            if engine is not None and len(segment) >= floor:
-                done = engine.try_run(self, segment) or 0
-            if done < len(segment):
-                self._replay_credited(
-                    self._run_batch, segment[done:] if done else segment
-                )
+            n = len(segment)
+            pieces = -(-n // _PIECE)
+            for k in range(pieces):
+                piece = segment[k * n // pieces : (k + 1) * n // pieces]
+                done = 0
+                if engine is not None and len(piece) >= floor:
+                    done = engine.try_run(self, piece) or 0
+                if done < len(piece):
+                    self._replay_credited(replay, piece[done:] if done else piece)
             if observed:
                 probe.on_batch(t0, segment, ledger, before)
         return ledger
@@ -358,9 +371,9 @@ class MemoryManagementAlgorithm(ABC):
             lo = hi
 
     def _run_batch(self, trace) -> None:
-        """Replay one segment on the object engine: the batch hook.
+        """Replay one piece on the object engine: the batch hook.
 
-        The body is the per-access reference loop. The trace is
+        The body is the per-access reference loop. The piece is
         materialized as plain Python ints once (:func:`as_int_list`), so
         ``access`` implementations may assume exact ints and skip
         per-element ``int()`` boxing — the hot-loop contract documented

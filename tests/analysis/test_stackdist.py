@@ -48,6 +48,7 @@ class TestOccurrenceLinks:
     @settings(max_examples=60, deadline=None)
     def test_prev_and_nxt_are_mutual_inverses(self, keys):
         prev, nxt = occurrence_links(keys)
+        assert np.array_equal(prev_occurrence(keys), prev)
         n = len(keys)
         repeats = np.flatnonzero(prev >= 0)
         followed = np.flatnonzero(nxt < n)
@@ -59,8 +60,11 @@ class TestOccurrenceLinks:
         prev, nxt = occurrence_links([])
         assert prev.shape == nxt.shape == (0,)
         assert prev.dtype == nxt.dtype == np.int32
+        assert prev_occurrence([]).shape == (0,)
+        assert prev_occurrence([]).dtype == np.int32
         for key in (0, 7, -5, (1 << 63) - 1):
             assert [a.tolist() for a in occurrence_links([key])] == [[-1], [1]]
+            assert prev_occurrence([key]).tolist() == [-1]
 
 
 class TestStackDistances:

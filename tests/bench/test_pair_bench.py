@@ -9,6 +9,7 @@ import importlib.util
 import json
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -130,6 +131,14 @@ def test_pairs_alternate_which_side_runs_first():
         ("base", "head"),
         ("head", "base"),
     ]
+
+
+@pytest.mark.parametrize("seed", [None, 3])
+def test_run_once_passes_the_seed_only_when_given(tmp_path, seed):
+    echo = [sys.executable, "-c", "import json, sys; print(json.dumps(sys.argv[1:]))"]
+    argv = pair_bench.run_once(tmp_path, echo, "w", 2.0, seed)
+    assert argv[:6] == ["--workload", "w", "--seconds", "2.0", "--trace", "0"]
+    assert argv[6:] == ([] if seed is None else ["--seed", "3"])
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git is not installed")

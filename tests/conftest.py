@@ -7,18 +7,19 @@ import pytest
 def engine_calls(monkeypatch):
     """Lift every class's array-engine floor and log what the engine serves.
 
-    ``run()`` keeps a segment shorter than its class's floor on the object
+    ``run()`` keeps a piece shorter than its class's floor on the object
     engine, so an engine-parity test whose segments are short would compare
     the object engine with itself. With this fixture ``run()`` offers the
-    engine every segment, and each ``try_run`` call appends
-    ``(segment length, accesses served)`` to the returned list (served is
+    engine every piece, and each ``try_run`` call appends
+    ``(piece length, accesses served)`` to the returned list (served is
     ``None`` when the engine declined), so the test can assert that the
-    engine, not the fallback, produced the array side.
+    engine, not the fallback, produced the array side. A segment no longer
+    than the piece size (``repro.mmu.base._PIECE``) is one piece.
     """
     from repro.mmu import array_engine
 
-    for cls, (_floor, ceiling) in list(array_engine._LIMITS.items()):
-        monkeypatch.setitem(array_engine._LIMITS, cls, (0, ceiling))
+    for cls in list(array_engine._FLOORS):
+        monkeypatch.setitem(array_engine._FLOORS, cls, 0)
     calls = []
     real_try_run = array_engine.try_run
 

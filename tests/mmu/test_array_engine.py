@@ -23,7 +23,9 @@ boundary. These tests pin that promise:
   past the nested MM's int64 walk keys, on whole and segmented runs;
 * full deep-state parity for every covered algorithm on cold, segmented,
   and warm-reset replays;
-* the write-back dirty bit carried across segment boundaries;
+* the write-back dirty bit carried across segment boundaries, and a
+  Hypothesis property of write-back flushes and dirty sets on short
+  windowed segments against the object engine;
 * the paging-failure bailout: the array engine detects the failing access
   mid-segment, syncs state up to it, and the object engine resumes with
   ledgers and ``φ`` bookkeeping identical to a pure object run;
@@ -32,8 +34,8 @@ boundary. These tests pin that promise:
   random cut points and shootdowns, the write-back dirty carry outside
   the window, and paging failures inside a windowed segment;
 * one segment of a million accesses, served in pieces no longer than the
-  ceiling: counters and state equal the object engine's, and the traced
-  memory peak stays bounded;
+  piece size: counters and state equal the object engine's, and the
+  traced memory peak stays bounded;
 * engine selection through the registry, ``simulate``, and ``SimTask``.
 """
 
@@ -48,7 +50,7 @@ from hypothesis import strategies as st
 from repro.analysis import stack_distances
 from repro.bench import figure1_workload, make_physical_mm
 from repro.bench.hotloop import FAILURE_MMS, HOTLOOP_CONFIG, key_stream
-from repro.mmu import PhysicalHugePageMM, array_engine
+from repro.mmu import WritebackHugePageMM, array_engine, base
 from repro.mmu.array_engine import StreamKernel, supports, try_run
 from repro.mmu.registry import ENGINES, MM_NAMES, make_mm, mm_factory
 from repro.obs import SamplingProbe, TraceRecorder
@@ -547,9 +549,10 @@ class TestPagingFailureBailout:
         assert _state_sig(obj) == _state_sig(arr)
 
     def test_failed_state_keeps_later_segments_identical(self):
-        # once the failure set is non-empty the batch handler declines and
-        # every later run() falls back to the object replay — the two
-        # engines must stay in lockstep across that transition too
+        # while the failure set is non-empty the batch handler declines and
+        # run() falls back to the object replay, until the failed pages
+        # are evicted — the two engines must stay in lockstep across those
+        # transitions too
         trace = key_stream(4_000, 1024, 128, 50, seed=0)
         obj = make_mm("decoupled", 32, 64, seed=2, engine="object")
         arr = make_mm("decoupled", 32, 64, seed=2, engine="array")
@@ -623,6 +626,33 @@ def test_short_segments_with_shootdowns_keep_deep_state(name, window_log):
     assert any(kernel_C < C for C, kernel_C in window_log), "window never engaged"
 
 
+@given(
+    keys=st.lists(st.integers(0, 47), min_size=1, max_size=240),
+    cuts=st.lists(st.integers(1, 40), min_size=1, max_size=12),
+    write_fraction=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+)
+@settings(max_examples=80, deadline=None)
+def test_writeback_property_matches_the_object_engine(keys, cuts, write_fraction):
+    # 8 huge units of RAM over 24: evictions, reloads and stores at the
+    # victim's last access, in segments short enough to start windowed
+    def build(engine):
+        mm = WritebackHugePageMM(4, 16, 2, write_fraction=write_fraction, seed=7)
+        mm.engine = engine
+        return mm
+
+    obj, arr = build("object"), build("array")
+    trace = np.asarray(keys, dtype=np.int64)
+    lo = 0
+    for step in cuts * (len(keys) // sum(cuts) + 1):
+        if lo >= len(trace):
+            break
+        segment = trace[lo : lo + step]
+        obj.run(segment)
+        assert try_run(arr, segment) == len(segment)
+        assert _state_sig(obj) == _state_sig(arr), f"segment at {lo}"
+        lo += step
+
+
 def test_writeback_dirty_bits_outside_the_window_carry_over():
     # residents outside the window are untouched and never evicted, so
     # the segment must leave their dirty bits exactly as it found them
@@ -691,10 +721,10 @@ def test_paging_failure_inside_a_windowed_segment(name):
 
 
 def test_one_long_segment_runs_in_linear_time_and_bounded_memory(monkeypatch):
-    # a million accesses of Figure 1a's trace at h=64 in one run(): the
-    # engine serves them in pieces no longer than the ceiling, so no
-    # kernel's dominance grid (quadratic in its length) grows with the
-    # segment, and the traced peak stays flat
+    # a million accesses of Figure 1a's trace at h=64 in one run(): run()
+    # cuts them into pieces no longer than the piece size, so no kernel's
+    # dominance grid (quadratic in its length) grows with the segment,
+    # and the traced peak stays flat
     workload, ram_pages = figure1_workload("a", 1 << 18, seed=0)
     trace = workload.generate(1 << 20, seed=0)
     folds = []
@@ -714,8 +744,7 @@ def test_one_long_segment_runs_in_linear_time_and_bounded_memory(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak <= 32 << 20, f"traced peak {peak / 2**20:.0f} MB"
-    _floor, ceiling = array_engine._LIMITS[PhysicalHugePageMM]
-    assert sum(folds) == len(trace) and max(folds) <= ceiling
+    assert sum(folds) == len(trace) and max(folds) <= base._PIECE
     obj = make_physical_mm(512, ram_pages, 64)()
     obj.engine = "object"
     obj.run(trace)

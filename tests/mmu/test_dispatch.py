@@ -17,12 +17,18 @@ contract for every registry algorithm on both engines:
   ``NestedTranslationMM`` are two, and the physical-huge family's
   ``PageCache.access_many`` is the only other hook;
 * ``HybridMM`` at ``chunk = 1`` is ``DecoupledMM``;
-* the per-class floor and ceiling (``array_engine._LIMITS``): a segment
-  below the floor never reaches ``try_run``, and one above the ceiling
-  reaches the handler as equal pieces, with the same state as the object
-  engine when a piece fails, when a handler declines a later piece, and
-  under miss attribution.
+* the piece loop: ``run()`` cuts a segment longer than the piece size
+  (``base._PIECE``) into equal pieces on both engines, and offers the
+  array engine each piece that clears its class's floor
+  (``array_engine._FLOORS``); a paging failure finishes its piece on the
+  object engine and later pieces are offered again, a declined piece runs
+  on the object engine, and attributed segments keep their causes, each
+  with the same state as the object engine;
+* the memory of a replay is bounded by the piece size: one ``run()`` of
+  32 pieces peaks no higher than runs of 4, on every cell.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +43,7 @@ from repro.mmu import (
     THPStyleMM,
     WritebackHugePageMM,
     array_engine,
+    base,
 )
 from repro.mmu.base import MemoryManagementAlgorithm
 from repro.mmu.registry import ENGINES, MM_NAMES, make_mm
@@ -227,14 +234,14 @@ class TestAccessOverrides:
         assert _state_sig(mm) == _state_sig(reference)
 
 
-# ------------------------------------------------------- floor and ceiling
+# ------------------------------------------------------ floor and pieces
 
 #: long enough to clear every class's floor.
 LONG_TRACE = np.array(key_stream(6_007, 1 << 12, 1 << 7, 90, seed=2), dtype=np.int64)
 
 
 def _try_run_log(monkeypatch) -> list:
-    """Record the length of every segment ``run()`` offers the engine."""
+    """Record the length of every piece ``run()`` offers the engine."""
     log = []
     real = array_engine.try_run
 
@@ -246,42 +253,52 @@ def _try_run_log(monkeypatch) -> list:
     return log
 
 
-def _piece_log(monkeypatch, cls, *, decline_from=None) -> list:
-    """Record the length of every piece ``try_run`` hands *cls*'s handler;
-    with *decline_from* set, the handler declines the piece of that
-    (0-based) index and every later one."""
+def _handler_log(monkeypatch, cls, *, decline=()) -> list:
+    """Record ``(piece length, accesses served)`` for every piece the
+    engine hands *cls*'s handler; the pieces whose (0-based) index is in
+    *decline* are declined before any state moves."""
     log = []
     real = array_engine._HANDLERS[cls]
 
     def spy(mm, piece):
-        log.append(len(piece))
-        if decline_from is not None and len(log) > decline_from:
-            return None
-        return real(mm, piece)
+        served = None if len(log) in decline else real(mm, piece)
+        log.append((len(piece), served))
+        return served
 
     monkeypatch.setitem(array_engine._HANDLERS, cls, spy)
     return log
 
 
-def _set_ceiling(monkeypatch, cls, ceiling: int) -> None:
-    floor, _ = array_engine._LIMITS[cls]
-    monkeypatch.setitem(array_engine._LIMITS, cls, (floor, ceiling))
+def _object_log(monkeypatch, cls) -> list:
+    """Record the length of every object-engine replay of *cls*."""
+    log = []
+    real = cls._run_batch
+
+    def spy(self, trace):
+        log.append(len(trace))
+        return real(self, trace)
+
+    monkeypatch.setattr(cls, "_run_batch", spy)
+    return log
 
 
-def _equal_pieces(n: int, ceiling: int) -> list:
-    pieces = -(-n // ceiling)
+def _equal_pieces(n: int, size: int) -> list:
+    pieces = -(-n // size)
     return [(k + 1) * n // pieces - k * n // pieces for k in range(pieces)]
 
 
 def test_every_handled_class_has_a_floor_and_a_ceiling():
-    assert array_engine._LIMITS.keys() == array_engine._HANDLERS.keys()
-    for floor, ceiling in array_engine._LIMITS.values():
-        assert 0 < floor < ceiling
+    # the one ceiling is the piece size: a segment longer than it is cut
+    # into pieces of at least half of it, so a segment that clears its
+    # floor has no piece below it
+    assert array_engine._FLOORS.keys() == array_engine._HANDLERS.keys()
+    for floor in array_engine._FLOORS.values():
+        assert 0 < floor <= base._PIECE // 2
 
 
 @pytest.mark.parametrize("name", ARRAY_MMS)
 def test_floor_decides_whether_run_offers_the_engine(name, monkeypatch):
-    floor, _ = array_engine._LIMITS[type(_build(name, "array"))]
+    floor = array_engine._FLOORS[type(_build(name, "array"))]
     assert 1 < floor <= len(LONG_TRACE)
     offered = _try_run_log(monkeypatch)
     for n in (floor - 1, floor):
@@ -294,23 +311,51 @@ def test_floor_decides_whether_run_offers_the_engine(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ARRAY_MMS)
-def test_long_segment_reaches_the_handler_in_equal_pieces(name, monkeypatch):
+def test_floor_applies_to_each_piece(name, monkeypatch):
+    # pieces of 858-859 accesses: the engine is offered those of the
+    # classes whose floor they clear, and the rest stay on the object engine
+    monkeypatch.setattr(base, "_PIECE", 1_000)
+    offered = _try_run_log(monkeypatch)
     arr = _build(name, "array")
-    cls = type(arr)
-    _set_ceiling(monkeypatch, cls, 1_000)
-    pieces = _piece_log(monkeypatch, cls)
     arr.run(LONG_TRACE)
-    assert pieces == _equal_pieces(len(LONG_TRACE), 1_000)
-    assert max(pieces) - min(pieces) <= 1 and len(pieces) == 7
+    sizes = _equal_pieces(len(LONG_TRACE), 1_000)
+    floor = array_engine._FLOORS[type(arr)]
+    assert offered == (sizes if floor <= min(sizes) else [])
     ref = _build(name, "object")
     ref.run(LONG_TRACE)
     assert _state_sig(arr) == _state_sig(ref)
 
 
-@pytest.mark.parametrize("name", sorted(FAILURE_MMS))
-def test_paging_failure_in_a_later_piece_hands_the_rest_to_the_object_engine(
-    name, monkeypatch
+@pytest.mark.parametrize("name", ARRAY_MMS)
+def test_long_segment_reaches_the_handler_in_equal_pieces(
+    name, monkeypatch, engine_calls
 ):
+    monkeypatch.setattr(base, "_PIECE", 1_000)
+    arr = _build(name, "array")
+    cls = type(arr)
+    pieces = _handler_log(monkeypatch, cls)
+    replays = _object_log(monkeypatch, cls)
+    arr.run(LONG_TRACE)
+    sizes = _equal_pieces(len(LONG_TRACE), 1_000)
+    assert max(sizes) - min(sizes) <= 1 and len(sizes) == 7
+    assert pieces == [(n, n) for n in sizes] and replays == []
+    ref = _build(name, "object")
+    ref.run(LONG_TRACE)
+    assert _state_sig(arr) == _state_sig(ref)
+
+
+@pytest.mark.parametrize("name", MM_NAMES)
+def test_object_engine_replays_a_long_segment_in_equal_pieces(name, monkeypatch):
+    monkeypatch.setattr(base, "_PIECE", 1_000)
+    obj = _build(name, "object")
+    replays = _object_log(monkeypatch, type(obj))
+    obj.run(LONG_TRACE)
+    assert replays == _equal_pieces(len(LONG_TRACE), 1_000)
+
+
+def _failure_run(name):
+    """The undersized failure cell of *name*, its trace and the index of
+    the trace's first failing access."""
     geom = FAILURE_MMS[name]
     trace = np.asarray(
         key_stream(4_000, geom["universe"], geom["universe"] // 8, 50, seed=0),
@@ -328,46 +373,81 @@ def test_paging_failure_in_a_later_piece_hands_the_rest_to_the_object_engine(
         stepped.access(vpn)
         if stepped.ledger.paging_failures:
             break
-    ceiling = first_fail // 2
-    sizes = _equal_pieces(len(trace), ceiling)
-    bounds = np.cumsum(sizes).tolist()
-    failing_piece = next(k for k, end in enumerate(bounds) if first_fail < end)
-    assert failing_piece >= 2
+    return build, trace, first_fail
 
+
+@pytest.mark.parametrize("name", sorted(FAILURE_MMS))
+def test_paging_failure_in_a_later_piece_hands_the_rest_to_the_object_engine(
+    name, monkeypatch, engine_calls
+):
+    build, trace, first_fail = _failure_run(name)
+    size = first_fail // 2
+    sizes = _equal_pieces(len(trace), size)
+    bounds = np.cumsum(sizes).tolist()
+    failing = next(k for k, end in enumerate(bounds) if first_fail < end)
+    assert failing >= 2
+
+    monkeypatch.setattr(base, "_PIECE", size)
     arr = build("array")
     cls = type(arr)
-    _set_ceiling(monkeypatch, cls, ceiling)
-    pieces = _piece_log(monkeypatch, cls)
-    remainders = []
-    real_batch = cls._run_batch
-
-    def batch_spy(self, segment):
-        remainders.append(len(segment))
-        return real_batch(self, segment)
-
-    monkeypatch.setattr(cls, "_run_batch", batch_spy)
+    pieces = _handler_log(monkeypatch, cls)
+    replays = _object_log(monkeypatch, cls)
     arr.run(trace)
-    assert pieces == sizes[: failing_piece + 1]
-    assert remainders == [len(trace) - first_fail - 1]
+    # every piece is offered; the failing one is served through its
+    # failing access, and the object engine replays the rest of it
+    assert [n for n, _ in pieces] == sizes
+    assert pieces[: failing] == [(n, n) for n in sizes[:failing]]
+    start = bounds[failing] - sizes[failing]
+    assert pieces[failing][1] == first_fail + 1 - start
+    assert replays[0] == bounds[failing] - first_fail - 1
     ref = build("object")
     ref.run(trace)
     assert ref.ledger.paging_failures >= 2
     assert _state_sig(arr) == _state_sig(ref)
 
 
-def test_handler_declining_a_later_piece_keeps_the_served_prefix(monkeypatch):
+@pytest.mark.parametrize("name", sorted(FAILURE_MMS))
+def test_pieces_after_a_paging_failure_are_offered_again(
+    name, monkeypatch, engine_calls
+):
+    # while a failed page is resident the handler declines (its accesses
+    # charge per access); once the failure set empties it serves again
+    build, trace, first_fail = _failure_run(name)
+    monkeypatch.setattr(base, "_PIECE", 200)
+    sizes = _equal_pieces(len(trace), 200)
+    arr = build("array")
+    cls = type(arr)
+    pieces = _handler_log(monkeypatch, cls)
+    replays = _object_log(monkeypatch, cls)
+    arr.run(trace)
+    assert [n for n, _ in pieces] == sizes
+    failing = next(k for k, (n, served) in enumerate(pieces) if served != n)
+    assert 0 < failing and pieces[failing][1] is not None
+    later = pieces[failing + 1 :]
+    assert any(served is None for _, served in later), "no piece declined"
+    assert any(served == n for n, served in later), "no piece served again"
+    assert sum(replays) == len(trace) - sum(served or 0 for _, served in pieces)
+    ref = build("object")
+    ref.run(trace)
+    assert ref.ledger.paging_failures >= 2
+    assert arr.ledger.as_dict() == ref.ledger.as_dict()
+    assert _state_sig(arr) == _state_sig(ref)
+
+
+def test_handler_declining_a_later_piece_keeps_the_served_prefix(
+    monkeypatch, engine_calls
+):
+    # the declined piece runs on the object engine, and the next one is
+    # offered to the engine again
+    monkeypatch.setattr(base, "_PIECE", 2_500)
     arr = _build("physical-huge", "array")
     cls = type(arr)
-    _set_ceiling(monkeypatch, cls, 2_500)
-    pieces = _piece_log(monkeypatch, cls, decline_from=1)
-    sizes = _equal_pieces(len(LONG_TRACE), 2_500)
-    assert array_engine.try_run(arr, LONG_TRACE) == sizes[0]
-    assert pieces == sizes[:2]
-
-    arr = _build("physical-huge", "array")
-    pieces.clear()
+    pieces = _handler_log(monkeypatch, cls, decline={1})
+    replays = _object_log(monkeypatch, cls)
     arr.run(LONG_TRACE)
-    assert pieces == sizes[:2]
+    sizes = _equal_pieces(len(LONG_TRACE), 2_500)
+    assert pieces == [(sizes[0], sizes[0]), (sizes[1], None), (sizes[2], sizes[2])]
+    assert replays == [sizes[1]]
     ref = _build("physical-huge", "object")
     ref.run(LONG_TRACE)
     assert _state_sig(arr) == _state_sig(ref)
@@ -375,9 +455,8 @@ def test_handler_declining_a_later_piece_keeps_the_served_prefix(monkeypatch):
 
 def test_attributed_segment_past_the_ceiling_keeps_its_causes(monkeypatch):
     name = "physical-huge"
-    _floor, ceiling = array_engine._LIMITS[PhysicalHugePageMM]
     trace = np.array(
-        key_stream(2 * ceiling + 3, 1 << 14, 1 << 9, 90, seed=4), dtype=np.int64
+        key_stream(2 * base._PIECE + 3, 1 << 14, 1 << 9, 90, seed=4), dtype=np.int64
     )
     folds = []
     real_fold = array_engine._paged_fold
@@ -393,6 +472,46 @@ def test_attributed_segment_past_the_ceiling_keeps_its_causes(monkeypatch):
         probe = AttributionProbe().observe(mm)
         mm.run(trace)
         runs[engine] = (_state_sig(mm), probe.counts, probe.matrix)
-    assert folds == _equal_pieces(len(trace), ceiling)
+    assert folds == _equal_pieces(len(trace), base._PIECE)
     assert sum(runs["object"][1].values()) > 0
     assert runs["array"] == runs["object"]
+
+
+#: 32 pieces of 1,024 accesses over 2,048 pages, offset past CPython's
+#: cached small ints so that a list of them costs what a long trace would.
+PIECE_KEYS = (1 << 16) + np.array(
+    key_stream(32 << 10, 1 << 11, 1 << 7, 90, seed=5), dtype=np.int64
+)
+
+
+@pytest.mark.parametrize(("name", "engine"), CELLS, ids=CELL_IDS)
+def test_replay_memory_is_bounded_by_the_piece_size(
+    name, engine, monkeypatch, engine_calls
+):
+    # the same 32 pieces in one run() and in eight runs of 4: the state
+    # moves through the same pieces, so the one long run may peak above
+    # the largest short one only by what it keeps of the whole segment
+    monkeypatch.setattr(base, "_PIECE", 1_024)
+    warm = (1 << 16) + np.concatenate(
+        (np.arange(1 << 11), np.array(key_stream(16 << 10, 1 << 11, 1 << 7, 90, seed=3)))
+    )
+
+    def peak(runs) -> int:
+        mm = _build(name, engine)
+        mm.run(warm)  # every page touched: no table grows with the run
+        peaks = []
+        tracemalloc.start()
+        try:
+            for trace in runs:
+                tracemalloc.reset_peak()
+                mm.run(trace)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return max(peaks)
+
+    # the short runs go first: whatever the process allocates once (a
+    # tracer's first sight of a line, say) then counts against them
+    short = peak(np.split(PIECE_KEYS, 8))
+    whole = peak([PIECE_KEYS])
+    assert whole <= short + (16 << 10), f"{whole} B against {short} B"

@@ -5,15 +5,15 @@ Usage, from the repository root::
 
     python3 tools/pair_bench.py                     # base: merge base with main
     python3 tools/pair_bench.py --base HEAD --pairs 5 --seconds 10 \\
-        --workload fig1a-sweep
+        --workload fig1a-sweep --seed 1
 
 The base commit is extracted with ``git archive`` into a temporary
 directory.  For every workload of ``BENCHMARK.json`` the tool runs the
 benchmark's command (``perfbench/run.py --workload W --seconds S --trace
-0``, at the benchmark's default seed) in N pairs of runs, one process per
-run: one run in the base tree and one in the working tree, with the side
-that runs first swapped from pair to pair, so a drift in machine speed
-favours neither.
+0``, at the benchmark's default seed unless ``--seed`` names another) in
+N pairs of runs, one process per run: one run in the base tree and one in
+the working tree, with the side that runs first swapped from pair to
+pair, so a drift in machine speed favours neither.
 
 For every end-to-end metric it prints both sides' medians, the base's
 quartiles, the median of the per-pair ratios (working tree / base) and how
@@ -74,10 +74,12 @@ def schedule(pairs: int) -> list[tuple[str, str]]:
     return [SIDES if k % 2 == 0 else SIDES[::-1] for k in range(pairs)]
 
 
-def run_once(tree: Path, command: list, workload: str, seconds: float):
+def run_once(tree: Path, command: list, workload: str, seconds: float, seed=None):
     """One benchmark process in *tree*: its JSON result, or ``None`` when it
     exits non-zero, times out or prints no JSON last line."""
     argv = [*command, "--workload", workload, "--seconds", str(seconds), "--trace", "0"]
+    if seed is not None:
+        argv += ["--seed", str(seed)]
     try:
         proc = subprocess.run(
             argv, cwd=tree, capture_output=True, text=True,
@@ -203,6 +205,8 @@ def main(argv=None) -> int:
                         help="measurement time of each run")
     parser.add_argument("--workload", action="append", choices=names,
                         help="repeatable (default: every workload)")
+    parser.add_argument("--seed", type=int,
+                        help="input seed of every run (default: the benchmark's)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -220,7 +224,9 @@ def main(argv=None) -> int:
                 pair = {}
                 for side in order:
                     t0 = time.perf_counter()
-                    pair[side] = run_once(trees[side], command, workload, args.seconds)
+                    pair[side] = run_once(
+                        trees[side], command, workload, args.seconds, args.seed
+                    )
                     print(f"{workload} pair {k}/{args.pairs} {side}: "
                           f"{_shown(pair[side], metrics)} "
                           f"({time.perf_counter() - t0:.0f} s)", flush=True)
