@@ -8,7 +8,8 @@ A decoupling scheme glues together three parts:
   every virtual huge page ``u`` (here: a
   :class:`~repro.core.encoding.TLBValueCodec` plus a hash map from huge
   pages to their current value — the constant-time bookkeeping of
-  Theorem 1's proof);
+  Theorem 1's proof). A TLB entry's payload is ``ψ(u)`` and updating it
+  is free, so this map is the only copy: the TLB itself stores no values;
 * a **TLB-decoding function** ``f(v, ψ(u))`` returning ``φ(v)`` when
   ``v ∈ A`` and −1 otherwise — eq. (4).
 
@@ -25,8 +26,6 @@ paper specifies.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from .allocation import RAMAllocationScheme
 from .encoding import TLBValueCodec
@@ -46,18 +45,9 @@ class DecouplingScheme:
         The RAM-allocation scheme (owns ``φ``).
     codec:
         The value codec; ``codec.hmax`` fixes the huge-page size.
-    on_value_update:
-        Optional callback ``(hpn, value)`` fired whenever ``ψ(u)`` changes
-        for a huge page currently in ``T`` — the hook a hardware TLB uses
-        to refresh its resident entry (a free operation in the cost model).
     """
 
-    def __init__(
-        self,
-        allocator: RAMAllocationScheme,
-        codec: TLBValueCodec,
-        on_value_update: Callable[[int, int], None] | None = None,
-    ) -> None:
+    def __init__(self, allocator: RAMAllocationScheme, codec: TLBValueCodec) -> None:
         if codec.max_code < allocator.associativity - 1:
             raise ValueError(
                 f"codec fields ({codec.field_bits} bits, max code {codec.max_code}) "
@@ -66,7 +56,6 @@ class DecouplingScheme:
         self.allocator = allocator
         self.codec = codec
         self.hmax = codec.hmax
-        self.on_value_update = on_value_update
         # ψ(u) for every huge page with at least one present page; absent
         # entries implicitly hold codec.empty. This map is what makes the
         # scheme constant-time: a TLB insert just reads one dict entry.
@@ -113,11 +102,6 @@ class DecouplingScheme:
         touched page's final state — a page placed and evicted five times
         in the stream gets one field update, not ten.
 
-        ``on_value_update`` callbacks are suppressed for the whole batch:
-        callers owning a TLB must refresh resident values themselves (the
-        array engine re-reads ψ for the resident huge pages of the
-        batch's pages during state sync).
-
         Returns the index of the first failing insert — that insert is
         applied (the page joins ``F``) and everything after it is not —
         ``-1`` for a clean run, or None to decline: pre-existing failures
@@ -141,22 +125,17 @@ class DecouplingScheme:
                 last[evicts[k - first_evt]] = -1
             last[inserts[k]] = -2 if code is None else code
         active = self._active
-        callback = self.on_value_update
-        self.on_value_update = None
-        try:
-            for vpn, state in last.items():
-                if state >= 0:
-                    active.add(vpn)
-                    self._set_psi_field(vpn, state)
-                elif state == -1:
-                    active.discard(vpn)
-                    self._clear_psi_field(vpn)
-                else:
-                    active.add(vpn)
-                    self._failed.add(vpn)
-                    self._clear_psi_field(vpn)
-        finally:
-            self.on_value_update = callback
+        for vpn, state in last.items():
+            if state >= 0:
+                active.add(vpn)
+                self._set_psi_field(vpn, state)
+            elif state == -1:
+                active.discard(vpn)
+                self._clear_psi_field(vpn)
+            else:
+                active.add(vpn)
+                self._failed.add(vpn)
+                self._clear_psi_field(vpn)
         return failed
 
     # ----------------------------------------------------------- TLB events
@@ -229,10 +208,7 @@ class DecouplingScheme:
 
     def _set_psi_field(self, vpn: int, code: int) -> None:
         hpn, idx = divmod(vpn, self.hmax)
-        value = self.codec.set_field(self._psi.get(hpn, 0), idx, code)
-        self._psi[hpn] = value
-        if self.on_value_update is not None and hpn in self._tlb_resident:
-            self.on_value_update(hpn, value)
+        self._psi[hpn] = self.codec.set_field(self._psi.get(hpn, 0), idx, code)
 
     def _clear_psi_field(self, vpn: int) -> None:
         hpn, idx = divmod(vpn, self.hmax)
@@ -241,8 +217,6 @@ class DecouplingScheme:
             self._psi[hpn] = value
         else:
             self._psi.pop(hpn, None)
-        if self.on_value_update is not None and hpn in self._tlb_resident:
-            self.on_value_update(hpn, value)
 
     # ------------------------------------------------------------ validation
 
@@ -253,7 +227,8 @@ class DecouplingScheme:
         * ``φ`` is injective over placed pages;
         * eq. (4): for every active page whose huge page we probe,
           ``f(v, ψ(r(v)))`` equals ``φ(v)`` (or −1 for failed pages), and
-          non-active covered pages decode to −1.
+          non-active covered pages decode to −1;
+        * every stored ψ fits the ``w``-bit TLB payload.
         """
         assert self._failed <= self._active, "F must be a subset of A"
         frames: dict[int, int] = {}
@@ -269,8 +244,13 @@ class DecouplingScheme:
             frames[frame] = vpn
             decoded = self.f(vpn, self.psi(vpn // self.hmax))
             assert decoded == frame, f"f({vpn}) = {decoded} != φ = {frame}"
-        # every present ψ field must correspond to an active, placed page
+        # every stored ψ fits in w bits, and every present field belongs
+        # to an active, placed page
+        limit = 1 << self.codec.w
         for hpn, value in self._psi.items():
+            assert 0 <= value < limit, (
+                f"ψ({hpn}) = {value} does not fit in w = {self.codec.w} bits"
+            )
             for idx, _code in self.codec.present_fields(value):
                 vpn = hpn * self.hmax + idx
                 assert vpn in self._active and vpn not in self._failed, (

@@ -22,21 +22,12 @@ directly against independently-run ``X`` and ``Y``.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .._util import as_int_list, check_positive_int
 from ..paging import PageCache, ReplacementPolicy
-from ..tlb import TLB
 from .decoupling import DecouplingScheme
 from .model import CostLedger
 
 __all__ = ["DecoupledSystem"]
-
-
-def _refresh_tlb_value(tlb: TLB, hpn: int, value: int) -> None:
-    """``on_value_update`` hook: push a changed ψ into a resident entry."""
-    if hpn in tlb:
-        tlb.update(hpn, value)
 
 
 class DecoupledSystem:
@@ -45,8 +36,11 @@ class DecoupledSystem:
     Parameters
     ----------
     tlb_entries:
-        ``ℓ``. The TLB uses *tlb_policy* (``X``'s replacement rule) over
-        huge pages of size ``scheme.hmax``.
+        ``ℓ``. The TLB is a :class:`~repro.paging.PageCache` over huge-page
+        numbers (size ``scheme.hmax``) run by *tlb_policy* (``X``'s
+        replacement rule). A resident entry's payload is ``ψ(u)``, which
+        lives in the scheme alone: updating it is free, so the TLB never
+        holds a copy.
     ram_capacity:
         ``m = (1−δ)P`` — the occupancy cap ``Y`` must respect. Must not
         exceed the allocator's ``frames_used`` (else failures are
@@ -86,11 +80,8 @@ class DecoupledSystem:
         #: hybrid allocates physically-contiguous runs of io_unit base pages,
         #: so each fault costs io_unit IOs.
         self.io_unit = io_unit
-        self.tlb = TLB(tlb_entries, value_bits=scheme.codec.w, policy=tlb_policy)
-        # ψ updates for TLB-resident huge pages are pushed into the TLB's
-        # stored values (free in the cost model).  Bound to the TLB, not
-        # to self: no reference cycle, and the machine still pickles.
-        scheme.on_value_update = partial(_refresh_tlb_value, self.tlb)
+        # X drives T; every eviction immediately leaves D's T set.
+        self.tlb = PageCache(tlb_entries, tlb_policy, on_evict=scheme.tlb_evict)
         # Y drives RAM; every eviction immediately releases the frame in D.
         self.ram = PageCache(ram_capacity, ram_policy, on_evict=scheme.ram_evict)
         self.ledger = CostLedger()
@@ -105,15 +96,13 @@ class DecoupledSystem:
 
         # --- TLB step: ensure a huge page covering vpn is in T_Z.
         hpn = vpn // self.hmax
-        value = self.tlb.lookup(hpn)
-        if value is None:
-            ledger.tlb_misses += 1
-            victim = self.tlb.fill(hpn, scheme.psi(hpn))
-            if victim is not None:
-                scheme.tlb_evict(victim)
-            scheme.tlb_insert(hpn)
-        else:
+        if self.tlb.access(hpn):
             ledger.tlb_hits += 1
+        else:
+            # X has already evicted (the callback removed its victim from
+            # T) and recorded hpn as resident; now add it to T in D.
+            ledger.tlb_misses += 1
+            scheme.tlb_insert(hpn)
 
         # --- RAM step: ensure vpn is in Y's active set.
         if self.ram.access(vpn):
@@ -155,14 +144,10 @@ class DecoupledSystem:
     def check_invariants(self) -> None:
         """Cross-check Z's components (test helper).
 
-        The TLB's resident set must equal ``T``; every stored TLB value must
-        equal the scheme's current ψ; Y's resident set must equal ``A``; and
-        the scheme's own invariants (eq. 4, injectivity) must hold.
+        The TLB's resident set must equal ``T``; Y's resident set must equal
+        ``A``; and the scheme's own invariants (eq. 4, injectivity, every
+        stored ψ within ``w`` bits) must hold.
         """
         assert set(self.tlb.resident()) == set(self.scheme.tlb_set)
-        for hpn in self.tlb.resident():
-            assert self.tlb.peek(hpn) == self.scheme.psi(hpn), (
-                f"stale TLB value for huge page {hpn}"
-            )
         assert set(self.ram.resident()) == set(self.scheme.active_set)
         self.scheme.check_invariants()

@@ -1,7 +1,7 @@
 """Struct-of-arrays batch simulation engine, the default (``engine="array"``).
 
-The object engine replays traces access by access through ``PageCache`` /
-``TLB`` objects; this module replays one piece of a trace segment as numpy
+The object engine replays traces access by access through ``PageCache``
+objects; this module replays one piece of a trace segment as numpy
 array passes and synchronizes the object state once per piece, so
 counters, replacement order, and clocks come out bit-identical to the
 object engine (CI's engine-parity job enforces this on the golden streams).
@@ -65,10 +65,13 @@ derived LRU stream over page-table node keys).  :func:`_run_decoupled`
 serves Theorem 4's ``Z``, DecoupledMM and its chunked HybridMM: RAM
 misses replay sparsely through the real scheme, and a paging failure
 mid-piece bails out with state synchronized at the failing access, so
-``run`` finishes the piece on the object engine.  Both folds replay
-miss-attribution ghosts from the kernels' miss and death positions, so
-an attributed segment stays on this engine.  Handlers are keyed by exact
-class, so subclasses (which may redefine ``access``) never match.
+``run`` finishes the piece on the object engine.  Every cache either
+fold touches, Z's TLB over huge pages included, is a ``PageCache`` +
+``LRUPolicy`` synced by one routine, :func:`_sync_cache`, which also
+replays its miss-attribution ghost from the kernel's miss and death
+positions, so an attributed segment stays on this engine.  Handlers are
+keyed by exact class, so subclasses (which may redefine ``access``) never
+match.
 THPStyleMM stays on the object engine: promotion migrates frames through
 a real allocator whose fragmentation is inherently sequential.
 """
@@ -81,7 +84,6 @@ import numpy as np
 
 from ..analysis.stackdist import occurrence_links
 from ..paging import LRUPolicy, PageCache
-from ..tlb import TLB
 from .classical import BasePageMM
 from .decoupled import DecoupledMM
 from .hugepage import PhysicalHugePageMM
@@ -381,17 +383,23 @@ def _sync_cache(
     C: int,
     done: int | None = None,
     decode=np.ndarray.tolist,
-) -> None:
+) -> tuple[list, list]:
     """Move a PageCache + LRUPolicy through the first *done* accesses of
-    the kernel's segment (default: all of them).  *decode* maps a key
-    array back to the cache's keys."""
+    the kernel's segment (default: all of them), and replay its
+    attribution ghost, if any, over the same accesses.  *decode* maps a
+    key array back to the cache's keys.  Returns the order delta applied,
+    ``(departed, moved)`` as decoded key lists."""
     T = kernel.n if done is None else kernel.R + done
     hits, misses = kernel.counts(C, T)
     cache.hits += hits
     cache.misses += misses
     cache.evictions += max(0, kernel.R + misses - C)
     cache._clock += hits + misses
-    _apply_delta(cache.policy._order, *map(decode, kernel.order_delta(C, T)))
+    departed, moved = map(decode, kernel.order_delta(C, T))
+    _apply_delta(cache.policy._order, departed, moved)
+    if cache._ghost is not None:
+        _replay_ghost(cache._ghost, kernel, C, T, decode)
+    return departed, moved
 
 
 # ---------------------------------------------------------------------------
@@ -407,23 +415,22 @@ def _unit_stream(trace: np.ndarray, unit: int) -> np.ndarray:
     return trace // unit
 
 
-def _replay_ghost(ghost, kernel: StreamKernel, C: int, T: int | None = None) -> None:
+def _replay_ghost(ghost, kernel: StreamKernel, C: int, T: int, decode) -> None:
     """Feed a miss-attribution ghost the cache's exact miss and eviction
-    sequence over the accesses before global position ``T`` (default: the
-    whole segment), derived sparsely from the kernel's miss positions and
-    death positions. The shared ``_SiteGhost.replay`` bulk path keeps the
-    classification bit-identical to the object replay's per-access order:
-    the first ``C - R`` misses fill free capacity, and every later miss
-    evicts the next entry of the ascending death sequence. ``PageCache``
-    and ``TLB`` (a ``lookup`` miss, then the ``fill`` that evicts) call
-    their ghosts in that order."""
+    sequence over the accesses before global position ``T``, derived
+    sparsely from the kernel's miss positions and death positions, with
+    keys mapped back through *decode*. The shared ``_SiteGhost.replay``
+    bulk path keeps the classification bit-identical to the object
+    replay's per-access order: the first ``C - R`` misses fill free
+    capacity, and every later miss evicts the next entry of the ascending
+    death sequence, the order in which ``PageCache.access`` calls its
+    ghost."""
     mp = kernel.miss_positions(C)
-    if T is not None:
-        mp = mp[: np.searchsorted(mp, T)]
+    mp = mp[: np.searchsorted(mp, T)]
     if mp.size == 0:
         return
     victims = kernel.deaths(C)[: max(0, mp.size - (C - kernel.R))]
-    ghost.replay(kernel.keys[mp].tolist(), kernel.keys[victims].tolist())
+    ghost.replay(decode(kernel.keys[mp]), decode(kernel.keys[victims]))
 
 
 def _fold_counts(mm, trace: np.ndarray, tlb_hit, ram_hit, io_unit: int) -> None:
@@ -456,7 +463,7 @@ def _fold_counts(mm, trace: np.ndarray, tlb_hit, ram_hit, io_unit: int) -> None:
 def _paged_fold(mm, trace: np.ndarray) -> tuple[StreamKernel, int, StreamKernel, int]:
     """Shared TLB+RAM fold for the physical-huge-page family (and the
     nested MM's guest side): folds both caches' counters into the ledger
-    (and the per-ASID ledgers), syncs their object state and replays any
+    (and the per-ASID ledgers) and syncs their object state and any
     attribution ghosts. Returns ``(tlb_kernel, tlb_capacity, ram_kernel,
     ram_capacity)`` — each kernel with the capacity it runs at — so
     handlers can reuse their miss and death sequences."""
@@ -473,10 +480,6 @@ def _paged_fold(mm, trace: np.ndarray) -> tuple[StreamKernel, int, StreamKernel,
     )
     _sync_cache(mm.tlb, kern_t, tC)
     _sync_cache(mm.ram, kern_r, rC)
-    if mm.tlb._ghost is not None:
-        _replay_ghost(mm.tlb._ghost, kern_t, tC)
-    if mm.ram._ghost is not None:
-        _replay_ghost(mm.ram._ghost, kern_r, rC)
     return kern_t, tC, kern_r, rC
 
 
@@ -598,11 +601,11 @@ def _run_decoupled(mm, trace: np.ndarray):
         return None  # failed residents charge per access; object engine
     tlb = system.tlb
     ram = system.ram
-    if type(tlb) is not TLB or not _plain_lru(ram) or not _plain_lru(tlb):
+    if not (_plain_lru(tlb) and _plain_lru(ram)):
         return None
     units = _unit_stream(trace, mm.chunk)
     hpns = _unit_stream(units, system.hmax)
-    tp, lC = _warm_window(tlb.policy._order, hpns, tlb.entries)
+    tp, lC = _warm_window(tlb.policy._order, hpns, tlb.capacity)
     rp, rC = _warm_window(ram.policy._order, units, ram.capacity)
     kern_t = StreamKernel(hpns, tp)
     kern_r = StreamKernel(units, rp)
@@ -632,52 +635,12 @@ def _run_decoupled(mm, trace: np.ndarray):
         for ledger in ledgers:
             ledger.decoding_misses += 1
             ledger.paging_failures += 1
-    _sync_decoupled(system, kern_t, lC, done, evicts)
+    # the scheme's T follows the TLB's resident set through the same delta
+    departed, moved = _sync_cache(tlb, kern_t, lC, done)
+    scheme._tlb_resident.difference_update(departed)
+    scheme._tlb_resident.update(moved)
     _sync_cache(ram, kern_r, rC, done)
-    if tlb._ghost is not None:
-        _replay_ghost(tlb._ghost, kern_t, lC, kern_t.R + done)
-    if ram._ghost is not None:
-        _replay_ghost(ram._ghost, kern_r, rC, kern_r.R + done)
     return done
-
-
-def _sync_decoupled(system, kern_t, lC: int, done: int, evicts: list) -> None:
-    """Move the TLB and the scheme's ``T`` set to access index *done* (the
-    segment end, or just past a failing access); *evicts* are the RAM
-    keys the segment's bulk replay may have evicted."""
-    scheme = system.scheme
-    tlb = system.tlb
-    T = kern_t.R + done
-    th, tm = kern_t.counts(lC, T)
-    tlb.hits += th
-    tlb.misses += tm
-    tlb.fills += tm
-    tlb._clock += done
-    if tm:
-        # fills stamp _clock - 1 at fill time; the monotonic floor never
-        # engages mid-segment because miss stamps strictly increase
-        last_miss = int(kern_t.miss_positions(lC)[tm - 1]) - kern_t.R
-        tlb._last_stamp = max(tlb._last_stamp, tlb._clock - done + last_miss)
-    departed, moved = (a.tolist() for a in kern_t.order_delta(lC, T))
-    _apply_delta(tlb.policy._order, departed, moved)
-    # _values is mutated in place: the TLB binds _values.get at init
-    vals = tlb._values
-    resident = scheme._tlb_resident
-    for hpn in departed:
-        vals.pop(hpn, None)
-        resident.discard(hpn)
-    resident.update(moved)
-    # ψ updates for resident entries are free and always land the latest
-    # value.  Entries the segment touched are re-read; an untouched one
-    # changed only if the bulk replay evicted one of its pages (a RAM
-    # insert always follows a lookup of the same huge page).
-    psi = scheme.psi
-    hmax = system.hmax
-    for hpn in moved:
-        vals[hpn] = psi(hpn)
-    for hpn in {v // hmax for v in evicts}:
-        if hpn in resident:
-            vals[hpn] = psi(hpn)
 
 
 _HANDLERS = {

@@ -18,8 +18,9 @@ deriving typed events (``access``, ``tlb_miss``, ``io``, ``eviction``,
 observable without touching their ``access`` implementations; everything
 else replays piece by piece through the array engine (the default, for
 pieces at least as long as the class's floor) or the object engine's
-``_run_batch`` (the ``access`` loop), with one ``on_batch`` flush per
-segment when a batch-safe probe is attached.
+``_run_batch`` (the ``access`` loop).  Either way an attached probe gets
+one ``on_batch`` flush per segment, so batch-safe probes see every access
+even next to a per-access one.
 
 **ASID access contract.** Multi-tenant simulation (:mod:`repro.tenancy`)
 shares one algorithm instance between address spaces. The contract is
@@ -292,26 +293,27 @@ class MemoryManagementAlgorithm(ABC):
         """Service every request in *trace*; return this algorithm's ledger.
 
         The one dispatch point. The trace is one segment, or
-        ``batch_interval``-access segments for a live batch-safe probe,
-        and each segment is cut into equal pieces of at most ``_PIECE``
-        accesses. A probe that is not batch-safe gets the per-access event
-        replay (:meth:`_run_probed`) of every piece. Otherwise, with
-        ``engine == "array"``, a piece at least as long as its class's
-        floor (``array_engine._FLOORS``) is offered to the array engine;
-        a shorter piece, one the engine declines, and the rest of a piece
-        after a paging failure run through :meth:`_run_batch`, and the
-        next piece is offered again. An attached batch-safe probe receives
-        exactly one ``on_batch`` flush per segment. With
+        ``batch_interval``-access segments when the attached probe asks for
+        them, and each segment is cut into equal pieces of at most
+        ``_PIECE`` accesses. A probe that is not batch-safe gets the
+        per-access event replay (:meth:`_run_probed`) of every piece.
+        Otherwise, with ``engine == "array"``, a piece at least as long as
+        its class's floor (``array_engine._FLOORS``) is offered to the
+        array engine; a shorter piece, one the engine declines, and the
+        rest of a piece after a paging failure run through
+        :meth:`_run_batch`, and the next piece is offered again. On both
+        paths an attached probe receives exactly one ``on_batch`` flush
+        per segment, after that segment's per-access events. With
         :attr:`asid_ledgers` bound, the array engine credits them per
         access and the object paths per same-ASID stretch
         (:meth:`_replay_credited`). Counters and deep state are
         bit-identical on every path.
         """
         probe = self.probe
-        observed = probe.enabled and probe.batch_safe
+        observed = probe.enabled
         replay = self._run_batch
         engine = None
-        if probe.enabled and not observed:
+        if observed and not probe.batch_safe:
             replay = self._run_probed
         elif self.engine == "array":
             # imported here: its handler table imports the algorithm

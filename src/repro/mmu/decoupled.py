@@ -44,7 +44,7 @@ class DecoupledSystemInspector(MMInspector):
         super().__init__(mm)
         self.system = system = mm.system
         self.unit = unit = mm.chunk
-        self.tlb_capacity = system.tlb.entries
+        self.tlb_capacity = system.tlb.capacity
         self.ram_page_capacity = system.ram.capacity * unit
         self.io_quantum = system.io_unit
         self.max_io_per_access = system.io_unit
@@ -209,7 +209,7 @@ class DecoupledMM(MemoryManagementAlgorithm):
         for hpn in victims:
             if ghost is not None:
                 ghost.invalidated(hpn)
-            system.tlb.invalidate(hpn)
+            system.tlb.remove(hpn)
             system.scheme.tlb_evict(hpn)
         return len(victims)
 

@@ -90,22 +90,23 @@ class Probe:
     *once per replay* by the instrumented runner — a probe whose class sets
     it to ``False`` costs literally nothing per access.
 
-    ``batch_safe`` declares the probe's granularity contract: a batch-safe
-    probe only needs :meth:`on_batch` — one callback per ``run()`` with the
-    replayed VPNs and the ledger delta — and therefore keeps the array
-    engine and the physical-huge family's ``PageCache.access_many`` hook
-    enabled. Probes that need per-access event ordering (``TraceRecorder``,
-    ``StreamTap``, ``IntervalMetrics``) leave it False and force the
-    per-access event replay.
+    Every enabled probe receives :meth:`on_batch` — one callback per
+    ``run()`` with the replayed VPNs and the ledger delta — whichever path
+    served the replay. ``batch_safe`` declares that this flush is all the
+    probe needs, so the array engine and the physical-huge family's
+    ``PageCache.access_many`` hook stay enabled. Probes that need
+    per-access event ordering (``TraceRecorder``, ``StreamTap``,
+    ``IntervalMetrics``) leave it False and force the per-access event
+    replay, which emits the per-access events before the flush.
 
-    ``batch_interval`` refines the batch contract for *live* observers: a
-    batch-safe probe that sets it to ``N`` asks ``run()`` to flush
-    :meth:`on_batch` at least every ``N`` accesses instead of once per
-    replay. ``MemoryManagementAlgorithm.run`` then slices the trace into
-    ``N``-access segments and replays each through the *same* batch path,
-    so interval flushing costs one extra Python-level loop per segment,
-    not per access — heartbeat telemetry (:mod:`repro.obs.live`) rides
-    this. ``None`` (the default) keeps the one-flush-per-run behaviour.
+    ``batch_interval`` refines the flush for *live* observers: a probe
+    that sets it to ``N`` asks ``run()`` to flush :meth:`on_batch` at
+    least every ``N`` accesses instead of once per replay.
+    ``MemoryManagementAlgorithm.run`` then slices the trace into
+    ``N``-access segments and replays each through the *same* path, so
+    interval flushing costs one extra Python-level loop per segment, not
+    per access — heartbeat telemetry (:mod:`repro.obs.live`) rides this.
+    ``None`` (the default) keeps the one-flush-per-run behaviour.
     """
 
     __slots__ = ()
@@ -140,7 +141,7 @@ class Probe:
     def on_batch(self, t0: int, vpns, ledger, before) -> None:
         """A batched replay serviced *vpns* starting at access index *t0*.
 
-        Fires on batch-safe probes after each batch completes: once per
+        Fires on every enabled probe after each batch completes: once per
         ``run()`` (an empty trace included), or once per
         ``batch_interval``-access segment when the probe sets one.
         *ledger* is the live :class:`~repro.core.model.CostLedger`
@@ -252,10 +253,11 @@ class MultiProbe(Probe):
 
     The composite is batch-safe only when *every* child is — a single
     per-access child forces the per-access path for the whole group, since
-    events can only be derived once per replay. Its ``batch_interval`` is
-    the smallest interval any child asks for (``None`` when no child sets
-    one), so a heartbeat child keeps flushing even when combined with a
-    plain sampling probe.
+    events can only be derived once per replay. Every child still receives
+    every ``on_batch`` flush, so a batch-safe child observes the same
+    accesses either way. Its ``batch_interval`` is the smallest interval
+    any child asks for (``None`` when no child sets one), so a heartbeat
+    child keeps flushing next to any other probe.
     """
 
     __slots__ = ("probes", "batch_safe", "batch_interval")

@@ -218,9 +218,10 @@ class HeartbeatProbe(Probe):
         flat ``attrib:*`` / ``interf:*`` counters ride along in every
         heartbeat — ``repro top`` then shows live per-cause columns.
 
-    Composable with other batch-safe probes via
+    Composable with any other probe via
     :class:`~repro.obs.events.MultiProbe`, whose ``batch_interval`` is the
-    minimum over its children.
+    minimum over its children; next to a per-access probe the replay runs
+    per access and the heartbeat still flushes every *interval* accesses.
     """
 
     __slots__ = (

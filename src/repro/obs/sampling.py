@@ -9,8 +9,9 @@ per ``run()``, folding the *exact* ledger counter delta and a deterministic
 *sample* of the replayed VPNs, so the fast paths stay enabled and the
 measured overhead is a few percent instead of an order of magnitude.
 
-Two deterministic sampling schemes run side by side (both seeded, both
-identical between the scalar and the vectorized code path):
+Two deterministic sampling schemes run side by side, both seeded and both
+computed from the :meth:`~SamplingProbe.on_batch` flushes alone, so a run
+cut into any segments collects the same state as one flush:
 
 stride sampling
     Access index ``t`` is sampled iff ``t % stride == 0`` with
@@ -28,7 +29,8 @@ hashed-VPN sampling
 ``detail=True`` additionally collects per-event histograms (inter-miss
 gaps, IO batch sizes, eviction batch sizes); those need per-access event
 ordering, so detail mode sets ``batch_safe = False`` on the instance and
-deliberately gives the fast paths back.
+deliberately gives the fast paths back. Its counters and samples still
+come from the flushes.
 """
 
 from __future__ import annotations
@@ -98,10 +100,8 @@ class SamplingProbe(Probe):
     The probe resets its collection at the ``measure`` phase boundary, so
     after :func:`~repro.sim.simulator.simulate` with a warm-up the reported
     statistics cover the measurement phase only (matching the ledger).
-
-    ``counters`` accumulates exact ledger deltas on the batch path; on the
-    per-access detail path it is derived from events, where ``tlb_hits``
-    and ``paging_failures`` are not evented and stay 0.
+    ``counters`` accumulates the exact ledger deltas of the flushes, in
+    both modes.
     """
 
     __slots__ = (
@@ -185,40 +185,21 @@ class SamplingProbe(Probe):
                 reuse.record(t - prev)
             last_seen[vpn] = t
 
-    # -------------------------------------------------- per-access (detail)
-
-    def _tracks(self, vpn: int) -> bool:
-        return splitmix64(vpn ^ self._salt) < self._threshold
-
-    def on_access(self, t: int, vpn: int) -> None:
-        self.counters["accesses"] += 1
-        if t % self.stride == 0:
-            self.sampled_accesses += 1
-        if self._tracks(vpn):
-            self.tracked_accesses += 1
-            prev = self._last_seen.get(vpn)
-            if prev is not None:
-                self.hists["reuse_distance"].record(t - prev)
-            self._last_seen[vpn] = t
+    # ---------------------------------------------- per-event (detail only)
 
     def on_tlb_miss(self, t: int, vpn: int) -> None:
-        self.counters["tlb_misses"] += 1
         if self.detail:
             if self._last_miss_t is not None:
                 self.hists["tlb_miss_gap"].record(t - self._last_miss_t)
             self._last_miss_t = t
 
     def on_io(self, t: int, vpn: int, pages: int) -> None:
-        self.counters["ios"] += pages
         if self.detail:
             self.hists["io_batch"].record(pages)
 
     def on_eviction(self, t: int, count: int) -> None:
         if self.detail:
             self.hists["eviction_batch"].record(count)
-
-    def on_decoding_miss(self, t: int, vpn: int) -> None:
-        self.counters["decoding_misses"] += 1
 
     # -------------------------------------------------------------- estimates
 

@@ -312,8 +312,6 @@ def run_tasks(
     heartbeat: HeartbeatConfig | None = None,
     task_timeout: float | None = None,
     retries: int = 1,
-    chunksize: int | None = None,
-    mp_context=None,
 ) -> list[TaskResult]:
     """Run every task; return one :class:`TaskResult` per task, in task order.
 
@@ -346,12 +344,13 @@ def run_tasks(
     it runs; retries emit structured ``task_retry`` records from the
     parent, and (on the pooled path) a parent-side
     :class:`~repro.obs.live.StallWatcher` flags silent workers with
-    ``task_stall`` records. Heartbeats compose with *snapshot* probes via
-    :class:`~repro.obs.events.MultiProbe` and keep the vectorized fast
-    paths enabled (the probe is batch-safe with a ``batch_interval``);
-    combining with a *non*-batch-safe probe (``TraceRecorder``, detail
-    sampling) still runs but suppresses the periodic flushes, since the
-    per-access path has no batch boundaries to flush on.
+    ``task_stall`` records. Heartbeats compose with *snapshot* probes and
+    *metrics_every* via :class:`~repro.obs.events.MultiProbe` and keep the
+    vectorized fast paths enabled (the probe is batch-safe with a
+    ``batch_interval``); next to a *non*-batch-safe probe
+    (``TraceRecorder``, detail sampling, interval metrics) the replay runs
+    per access, and the heartbeat still flushes every ``interval``
+    accesses and counts every access.
 
     Fault tolerance: a failing cell (exception, per-task *task_timeout*, or
     worker crash) is retried up to *retries* times — crash retries get a
@@ -408,8 +407,6 @@ def run_tasks(
         heartbeat=heartbeat,
         task_timeout=task_timeout,
         retries=retries,
-        chunksize=chunksize,
-        mp_context=mp_context,
     )
 
 
@@ -418,13 +415,7 @@ def _call(fn):
     return fn()
 
 
-def run_callables(
-    fns: Sequence[Callable[[], Any]],
-    *,
-    jobs: int | None = 1,
-    chunksize: int | None = None,
-    mp_context=None,
-) -> list[Any]:
+def run_callables(fns: Sequence[Callable[[], Any]], *, jobs: int | None = 1) -> list[Any]:
     """Run zero-arg callables, returning their results in input order.
 
     The generic sibling of :func:`run_tasks` for grids that are not plain
@@ -441,10 +432,8 @@ def run_callables(
         return []
     if jobs == 1:
         return [fn() for fn in fns]
-    csize = chunksize or _default_chunksize(len(fns), jobs)
-    with ProcessPoolExecutor(
-        max_workers=min(jobs, len(fns)), mp_context=mp_context
-    ) as pool:
+    csize = _default_chunksize(len(fns), jobs)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(fns))) as pool:
         return list(pool.map(_call, fns, chunksize=csize))
 
 
@@ -553,8 +542,6 @@ def _run_pooled(
     heartbeat: HeartbeatConfig | None = None,
     task_timeout: float | None,
     retries: int,
-    chunksize: int | None,
-    mp_context,
 ) -> list[TaskResult]:
     by_key = {t.key: t for t in tasks}
     results: dict[int, TaskResult] = {}
@@ -585,8 +572,7 @@ def _run_pooled(
             note_failure,
             jobs=jobs, metrics_every=metrics_every, epsilon=epsilon,
             snapshot_factory=snapshot_factory, heartbeat=heartbeat,
-            task_timeout=task_timeout, chunksize=chunksize,
-            mp_context=mp_context,
+            task_timeout=task_timeout,
         )
     finally:
         if watcher is not None:
@@ -597,8 +583,7 @@ def _run_pooled(
 def _pooled_rounds(
     tasks, trace, by_key, results, attempts, pending, round_idx, note_failure,
     *,
-    jobs, metrics_every, epsilon, snapshot_factory, heartbeat,
-    task_timeout, chunksize, mp_context,
+    jobs, metrics_every, epsilon, snapshot_factory, heartbeat, task_timeout,
 ) -> list[TaskResult]:
     while pending:
         for t in pending:
@@ -608,7 +593,7 @@ def _pooled_rounds(
             # retry rounds: one fresh single-worker pool per cell, so a
             # repeat-crasher cannot take innocent neighbours down with it
             _isolated_round(
-                pending, trace, task_timeout, mp_context, results, attempts,
+                pending, trace, task_timeout, results, attempts,
                 note_failure, requeue,
                 metrics_every=metrics_every, epsilon=epsilon,
                 snapshot_factory=snapshot_factory, heartbeat=heartbeat,
@@ -616,13 +601,12 @@ def _pooled_rounds(
             pending = requeue
             round_idx += 1
             continue
-        csize = chunksize or _default_chunksize(len(pending), jobs)
+        csize = _default_chunksize(len(pending), jobs)
         chunks = [pending[i:i + csize] for i in range(0, len(pending), csize)]
         # parent-side backstop: the in-worker alarm should fire first, so
         # only a wedged worker (e.g. stuck in C code) trips this
         budget = None if task_timeout is None else task_timeout * len(pending) * 2 + 30
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)),
-                                   mp_context=mp_context)
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
         futures = {
             pool.submit(
                 _run_chunk, chunk, trace, task_timeout,
@@ -687,7 +671,6 @@ def _isolated_round(
     pending: list[SimTask],
     trace,
     task_timeout: float | None,
-    mp_context,
     results: dict,
     attempts: dict,
     note_failure,
@@ -701,7 +684,7 @@ def _isolated_round(
     """Run each task in its own single-worker pool (crash isolation)."""
     budget = None if task_timeout is None else task_timeout * 2 + 30
     for task in pending:
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
+        pool = ProcessPoolExecutor(max_workers=1)
         fut = pool.submit(
             _run_chunk, [task], trace, task_timeout,
             metrics_every, epsilon, snapshot_factory, heartbeat,

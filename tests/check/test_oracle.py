@@ -120,6 +120,16 @@ class TestMutationsAreCaught:
             validated.check_invariants()
         assert err.value.invariant == "structural"
 
+    def test_wide_psi_is_caught_by_deep_check(self):
+        mm, validated, scheme, vpn = _warm_decoupled()
+        # a bit past the w-bit payload: every field still decodes, so
+        # only the width rule sees it
+        scheme._psi[vpn // scheme.hmax] |= 1 << scheme.codec.w
+        with pytest.raises(InvariantViolation) as err:
+            validated.check_invariants()
+        assert err.value.invariant == "structural"
+        assert "does not fit" in str(err.value)
+
     def test_overfilled_tlb_is_caught(self):
         mm = PhysicalHugePageMM(8, 256, huge_page_size=16)
         validated = ValidatingMM(mm, deep_every=0)

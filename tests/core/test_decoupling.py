@@ -14,11 +14,11 @@ from repro.core import (
 )
 
 
-def make_scheme(allocator=None, hmax=None, on_update=None):
+def make_scheme(allocator=None, hmax=None):
     if allocator is None:
         allocator = IcebergAllocator(64, 8, lam=4.0, seed=0)
     codec = TLBValueCodec.for_allocator(64, allocator, hmax=hmax)
-    return DecouplingScheme(allocator, codec, on_update)
+    return DecouplingScheme(allocator, codec)
 
 
 class TestConstruction:
@@ -149,20 +149,6 @@ class TestTlbEvents:
         scheme.tlb_insert(0)
         assert scheme.decode(0) == scheme.frame_of(0)
 
-    def test_value_update_callback_fires_for_resident_entries(self):
-        updates = []
-        scheme = make_scheme(on_update=lambda h, v: updates.append((h, v)))
-        scheme.tlb_insert(0)
-        scheme.ram_insert(1)  # page 1 is inside huge page 0
-        assert updates and updates[-1][0] == 0
-        assert updates[-1][1] == scheme.psi(0)
-
-    def test_no_callback_for_nonresident_entries(self):
-        updates = []
-        scheme = make_scheme(on_update=lambda h, v: updates.append((h, v)))
-        scheme.ram_insert(1)  # huge page 0 not in T
-        assert updates == []
-
 
 class TestDecouplingProperty:
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 63)), max_size=250))
@@ -256,13 +242,3 @@ class TestApplyEvents:
         codec = TLBValueCodec.for_allocator(64, alloc, hmax=4)
         scheme = DecouplingScheme(alloc, codec)
         assert scheme.apply_events([1], [], 1) is None
-
-    def test_callbacks_suppressed_but_restored(self):
-        fired = []
-        scheme = make_scheme(on_update=lambda hpn, value: fired.append(hpn))
-        scheme.tlb_insert(0)
-        assert scheme.apply_events([1, 2], [], 2) == -1
-        assert fired == []  # batch path never notifies
-        scheme.ram_insert(3)  # per-event path still does
-        assert scheme.on_value_update is not None
-        assert fired

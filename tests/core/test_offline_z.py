@@ -54,7 +54,7 @@ class TestOfflineZ:
         if z.ledger.paging_failures:
             pytest.skip("failure term obscures the identity at this size")
         hp = huge_page_trace(trace, z.hmax).tolist()
-        assert z.ledger.tlb_misses == optimal_faults(hp, z.tlb.entries)
+        assert z.ledger.tlb_misses == optimal_faults(hp, z.tlb.capacity)
         assert z.ledger.ios == optimal_faults(trace, z.ram.capacity)
 
     def test_offline_dominates_online(self, trace):

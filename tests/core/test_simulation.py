@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    NOT_PRESENT,
     ATCostModel,
     DecoupledSystem,
     DecouplingScheme,
@@ -77,14 +78,26 @@ class TestServicing:
         assert ledger.accesses == 4
 
     def test_tlb_decode_matches_ram(self):
-        """After servicing, the TLB entry actually decodes the page to its
-        frame (the end-to-end eq. 4 path through real components)."""
+        """After servicing, every page of every TLB-resident huge page
+        decodes through its entry's payload ψ to its frame, or to −1 when
+        it is not in RAM (the end-to-end eq. 4 path through real
+        components)."""
         z = make_system()
-        z.access(10)
-        frame = z.scheme.frame_of(10)
-        hpn = 10 // z.hmax
-        stored = z.tlb.peek(hpn)
-        assert z.scheme.f(10, stored) == frame
+        rng = np.random.default_rng(4)
+        for vpn in rng.integers(0, 600, 2000):
+            z.access(int(vpn))
+        resident = list(z.tlb.resident())
+        assert len(resident) == z.tlb.capacity
+        placed = 0
+        for hpn in resident:
+            value = z.scheme.psi(hpn)
+            for vpn in range(hpn * z.hmax, (hpn + 1) * z.hmax):
+                frame = z.scheme.frame_of(vpn)
+                expected = NOT_PRESENT if frame is None else frame
+                assert z.scheme.f(vpn, value) == expected
+                assert z.scheme.decode(vpn) == expected
+                placed += frame is not None
+        assert placed
 
 
 class TestPagingFailureServicing:

@@ -2,7 +2,7 @@
 
 The struct-of-arrays engine (:mod:`repro.mmu.array_engine`) promises
 *bit-identical* results to the object engine — not just matching ledgers,
-but matching replacement orders, TLB value maps, scheme bookkeeping sets,
+but matching replacement orders, ψ maps, scheme bookkeeping sets,
 and clocks, so that a trace can switch engines mid-stream at any segment
 boundary. These tests pin that promise:
 
@@ -86,10 +86,11 @@ def _lru_oracle(keys, prefix, capacity):
 
 def _state_sig(mm):
     """Every piece of observable state the engines must agree on."""
-    name = type(mm).__name__
     sig = {"ledger": mm.ledger.as_dict()}
+    # Theorem 4's machines keep their caches on the system they wrap
+    system = getattr(mm, "system", None)
     for attr in ("tlb", "ram", "nested_tlb"):
-        cache = getattr(mm, attr, None)
+        cache = getattr(mm if system is None else system, attr, None)
         if cache is not None:
             sig[attr] = (
                 list(cache.policy._order),
@@ -100,25 +101,8 @@ def _state_sig(mm):
             )
     if hasattr(mm, "_dirty"):
         sig["dirty"] = sorted(mm._dirty)
-    system = getattr(mm, "system", None)
     if system is not None:
-        tlb, scheme = system.tlb, system.scheme
-        sig["tlb"] = (
-            list(tlb.policy._order),
-            dict(tlb._values),
-            tlb.hits,
-            tlb.misses,
-            tlb.fills,
-            tlb._clock,
-            tlb._last_stamp,
-        )
-        sig["ram"] = (
-            list(system.ram.policy._order),
-            system.ram.hits,
-            system.ram.misses,
-            system.ram.evictions,
-            system.ram._clock,
-        )
+        scheme = system.scheme
         sig["scheme"] = (
             sorted(scheme._tlb_resident),
             sorted(scheme._active),

@@ -11,7 +11,8 @@ contract for every registry algorithm on both engines:
   ``ceil(n / interval)`` under an interval probe;
 * ledgers and deep state under an interval probe equal the unprobed run;
 * probes that are not batch-safe take ``_run_probed`` and never reach the
-  array engine;
+  array engine, and their flushes still reach every batch-safe probe next
+  to them, which then collects what it collects alone;
 * a subclass that redefines ``access`` without its own hook replays
   through that ``access``; ``WritebackHugePageMM`` and
   ``NestedTranslationMM`` are two, and the physical-huge family's
@@ -47,7 +48,18 @@ from repro.mmu import (
 )
 from repro.mmu.base import MemoryManagementAlgorithm
 from repro.mmu.registry import ENGINES, MM_NAMES, make_mm
-from repro.obs import AttributionProbe, Probe, TraceRecorder
+from repro.obs import (
+    AttributionProbe,
+    IntervalMetrics,
+    MultiProbe,
+    OnlineStackDistance,
+    OnlineWorkingSet,
+    Probe,
+    SamplingProbe,
+    TraceRecorder,
+)
+from repro.obs.live import HeartbeatProbe
+from repro.sim import simulate
 
 from .test_array_engine import ARRAY_MMS, _assert_served_whole, _state_sig
 
@@ -148,6 +160,49 @@ def test_per_access_probe_takes_the_probed_replay(name, engine, monkeypatch):
     mm.run(TRACE)
     assert calls == [len(TRACE)]
     assert recorder.counts["access"] == len(TRACE)
+
+
+class _Bus:
+    """Keeps heartbeat records in memory instead of a spool."""
+
+    def __init__(self) -> None:
+        self.records = []
+
+    def emit(self, kind, **fields) -> None:
+        self.records.append((kind, fields))
+
+
+#: every batch-safe probe, as a factory and a reader of what it collected
+#: (a heartbeat's wall-clock rates left out)
+BATCH_SAFE = {
+    "sampling": (lambda: SamplingProbe(1 / 4, seed=1), SamplingProbe.as_dict),
+    "working-set": (lambda: OnlineWorkingSet(256, sample_every=8), OnlineWorkingSet.as_dict),
+    "stack-distance": (OnlineStackDistance, OnlineStackDistance.as_dict),
+    "heartbeat": (
+        lambda: HeartbeatProbe(_Bus(), interval=700),
+        lambda p: [(kind, f.get("done"), f.get("counters")) for kind, f in p.bus.records],
+    ),
+}
+
+
+@pytest.mark.parametrize("neighbour", ["metrics", "recorder"])
+@pytest.mark.parametrize("kind", sorted(BATCH_SAFE))
+def test_batch_safe_probe_sees_every_access_next_to_a_per_access_one(kind, neighbour):
+    """A per-access neighbour moves the replay onto ``_run_probed``, not
+    the flushes: the batch-safe probe collects exactly what it does alone
+    (the interval metrics join at the measure phase, the recorder for the
+    whole run)."""
+    build, state = BATCH_SAFE[kind]
+    alone = build()
+    simulate(_build("decoupled", "array"), TRACE, warmup=1000, probe=alone)
+    paired = build()
+    mm = _build("decoupled", "array")
+    if neighbour == "metrics":
+        simulate(mm, TRACE, warmup=1000, probe=paired, metrics=IntervalMetrics(every=500))
+    else:
+        probe = MultiProbe([paired, TraceRecorder(capacity=16)])
+        simulate(mm, TRACE, warmup=1000, probe=probe)
+    assert state(paired) == state(alone)
 
 
 class _CountingHugePage(PhysicalHugePageMM):

@@ -1,4 +1,4 @@
-"""Property tests for HybridMM and the ψ-update callback path."""
+"""Property tests for HybridMM."""
 
 import pytest
 from hypothesis import given, settings
@@ -29,16 +29,3 @@ class TestHybridProperties:
         h.run(trace)
         z.run(trace)
         assert h.ledger.as_dict() == z.ledger.as_dict()
-
-
-class TestPsiCallbackConsistency:
-    @given(st.lists(st.integers(0, 800), min_size=1, max_size=400))
-    @settings(max_examples=30, deadline=None)
-    def test_tlb_values_always_fresh(self, trace):
-        """After any run, every TLB-resident value equals the scheme's
-        current psi — the callback may never miss an update."""
-        z = DecoupledMM(6, 1 << 9, seed=1)
-        z.run(trace)
-        sys = z.system
-        for hpn in sys.tlb.resident():
-            assert sys.tlb.peek(hpn) == sys.scheme.psi(hpn)

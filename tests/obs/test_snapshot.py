@@ -10,6 +10,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core import CostLedger
 from repro.mmu import DecoupledMM, PhysicalHugePageMM
 from repro.obs import IntervalMetrics, LogHistogram, ObsSnapshot, SamplingProbe
 from repro.sim import simulate
@@ -46,11 +47,12 @@ class TestFromRun:
 
     def test_histograms_are_defensive_copies(self):
         probe = SamplingProbe(1.0, seed=0)
-        for i in range(64):
-            probe.on_access(i, i % 8)
+        ledger = CostLedger()
+        probe.on_batch(0, [i % 8 for i in range(64)], ledger, ledger.snapshot())
         snap = ObsSnapshot.from_run(_FakeLedger(), probe=probe)
         before = snap.hists["reuse_distance"].n
-        probe.on_access(64, 0)  # mutate the probe after snapshotting
+        # mutate the probe after snapshotting
+        probe.on_batch(64, [0], ledger, ledger.snapshot())
         assert snap.hists["reuse_distance"].n == before
 
     def test_decoupled_mm_contributes_bucket_loads(self):

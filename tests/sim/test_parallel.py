@@ -37,6 +37,7 @@ from repro.sim import (
     spawn_seeds,
     sweep_huge_page_sizes,
 )
+from repro.sim.parallel import _default_chunksize
 
 POSIX_TIMERS = hasattr(signal, "setitimer")
 
@@ -127,15 +128,17 @@ class TestDeterminism:
             assert rec.params["accesses_per_s"] > 0
 
     def test_run_tasks_order_and_keys(self):
-        results = run_tasks(_grid(5), trace=_trace(), jobs=4, chunksize=2)
-        assert [r.key for r in results] == [0, 1, 2, 3, 4]
+        # 20 cells at jobs=2 go out in default chunks of several cells each
+        assert _default_chunksize(20, 2) > 1
+        results = run_tasks(_grid(20), trace=_trace(1000), jobs=2)
+        assert [r.key for r in results] == list(range(20))
         assert all(isinstance(r, TaskResult) and r.ok for r in results)
         assert all(r.attempts == 1 for r in results)
 
     def test_run_records_matches_serial_grid(self):
         trace = _trace(5000)
         serial = run_records(_grid(6), trace=trace, jobs=1)
-        pooled = run_records(_grid(6), trace=trace, jobs=3, chunksize=1)
+        pooled = run_records(_grid(6), trace=trace, jobs=3)
         assert diff_records(_payload(serial), _payload(pooled)) == []
 
     def test_duplicate_keys_rejected(self):
@@ -252,7 +255,7 @@ class TestFaultTolerance:
             SimTask(mm_factory=CrashOnce(tmp_path / "crash"), key=0, warmup=10),
             SimTask(mm_factory=make_base_mm(8, 64), key=1, warmup=10),
         ]
-        results = run_tasks(tasks, trace=_trace(500), jobs=2, chunksize=1)
+        results = run_tasks(tasks, trace=_trace(500), jobs=2)
         assert [r.key for r in results] == [0, 1]
         assert results[0].ok and results[0].attempts == 2
         assert results[1].ok  # the innocent neighbour survives
@@ -262,13 +265,13 @@ class TestFaultTolerance:
             SimTask(mm_factory=CrashAlways(), key=0, warmup=10),
             SimTask(mm_factory=make_base_mm(8, 64), key=1, warmup=10),
         ]
-        results = run_tasks(tasks, trace=_trace(500), jobs=2, chunksize=1)
+        results = run_tasks(tasks, trace=_trace(500), jobs=2)
         assert not results[0].ok
         assert "crash" in results[0].error
         assert results[0].attempts == 2  # initial + one retry
         assert results[1].ok
         # run_records drops the dead cell, keeps the rest
-        records = run_records(tasks, trace=_trace(500), jobs=2, chunksize=1)
+        records = run_records(tasks, trace=_trace(500), jobs=2)
         assert len(records) == 1
 
     def test_exception_is_retried_in_serial_and_pooled(self, tmp_path):
@@ -297,7 +300,7 @@ class TestFaultTolerance:
             SimTask(mm_factory=make_base_mm(8, 64), key=1, warmup=10),
         ]
         results = run_tasks(
-            tasks, trace=_trace(500), jobs=2, chunksize=1,
+            tasks, trace=_trace(500), jobs=2,
             task_timeout=0.3, retries=0,
         )
         assert not results[0].ok
@@ -371,7 +374,7 @@ class TestHeartbeatTelemetry:
         pooled_hb = self._heartbeat(tmp_path, "pooled")
         serial = run_records(_grid(6), trace=trace, jobs=1, heartbeat=serial_hb)
         pooled = run_records(
-            _grid(6), trace=trace, jobs=4, chunksize=1, heartbeat=pooled_hb
+            _grid(6), trace=trace, jobs=4, heartbeat=pooled_hb
         )
         # telemetry never perturbs the simulation
         assert diff_records(_payload(serial), _payload(pooled)) == []
@@ -388,7 +391,7 @@ class TestHeartbeatTelemetry:
     def test_merged_spool_is_well_ordered(self, tmp_path):
         trace = _trace(4000)
         hb = self._heartbeat(tmp_path, "order", interval=400)
-        run_records(_grid(6), trace=trace, jobs=4, chunksize=1, heartbeat=hb)
+        run_records(_grid(6), trace=trace, jobs=4, heartbeat=hb)
         records = read_spool(hb.spool)
         # writers interleave, but every record line survived intact ...
         assert all(r["kind"] in ("task_start", "phase", "heartbeat",
@@ -411,7 +414,7 @@ class TestHeartbeatTelemetry:
         trace = _trace(2000)
         hb = self._heartbeat(tmp_path, "compose")
         records = run_records(
-            _grid(2), trace=trace, jobs=2, chunksize=1, heartbeat=hb,
+            _grid(2), trace=trace, jobs=2, heartbeat=hb,
             snapshot=partial(SamplingProbe, 1 / 16, seed=3),
         )
         assert all(r.snapshot is not None for r in records)

@@ -52,7 +52,7 @@ class TestDecoupledSystemFuzz:
         if z.ledger.paging_failures:
             return  # identity holds only modulo the failure term
         hp = huge_page_trace(trace, z.hmax)
-        assert z.ledger.tlb_misses == paging_faults(hp, z.tlb.entries, LRUPolicy())
+        assert z.ledger.tlb_misses == paging_faults(hp, z.tlb.capacity, LRUPolicy())
         assert z.ledger.ios == paging_faults(trace, z.ram.capacity, LRUPolicy())
 
     @given(traces)
