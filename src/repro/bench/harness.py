@@ -142,7 +142,6 @@ def figure1_experiment(
     metrics_every: int | None = None,
     heartbeat=None,
     jobs: int | None = 1,
-    task_timeout: float | None = None,
 ) -> list[RunRecord]:
     """IOs and TLB misses vs huge-page size — the Figure 1 measurement.
 
@@ -155,10 +154,10 @@ def figure1_experiment(
     where the paper sets the cache just below the pages the windowed trace
     actually touches (520 MB of 525 MB) while the graph is far larger.
 
-    *probe* / *metrics_every* / *heartbeat* / *jobs* / *task_timeout* are
-    forwarded to
-    :func:`~repro.sim.simulator.sweep_huge_page_sizes`; every record comes
-    back stamped with its wall-clock throughput.
+    *probe* / *metrics_every* / *heartbeat* / *jobs* are forwarded to
+    :func:`~repro.sim.simulator.sweep_huge_page_sizes`, which retries a
+    failed cell once and then drops it; every record comes back stamped
+    with its wall-clock throughput.
     """
     trace = workload.generate(n_accesses, seed=seed)
     if touched_ram_fraction is not None:
@@ -175,7 +174,6 @@ def figure1_experiment(
         metrics_every=metrics_every,
         heartbeat=heartbeat,
         jobs=jobs,
-        task_timeout=task_timeout,
     )
 
 
@@ -187,7 +185,6 @@ def compare_algorithms(
     probe: Probe | None = None,
     metrics_every: int | None = None,
     jobs: int | None = 1,
-    task_timeout: float | None = None,
     validate: bool = False,
 ) -> list[RunRecord]:
     """Replay one trace through several algorithms; one record each.
@@ -220,7 +217,6 @@ def compare_algorithms(
         jobs=jobs,
         probe=probe,
         metrics_every=metrics_every,
-        task_timeout=task_timeout,
     )
 
 
@@ -344,7 +340,6 @@ def hybrid_sweep(
     w: int = 64,
     seed=0,
     jobs: int | None = 1,
-    task_timeout: float | None = None,
 ) -> list[RunRecord]:
     """Section 8 hybrid ablation: coverage and IO cost vs chunk size.
 
@@ -365,6 +360,4 @@ def hybrid_sweep(
         for i, chunk in enumerate(chunks)
         if ram_pages % chunk == 0
     ]
-    return run_records(
-        tasks, trace=trace, jobs=jobs, task_timeout=task_timeout
-    )
+    return run_records(tasks, trace=trace, jobs=jobs)

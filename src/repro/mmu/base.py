@@ -278,11 +278,11 @@ class MemoryManagementAlgorithm(ABC):
         structure, page_of)`` triples.
 
         *family* names the structure in attribution counters (``"tlb"`` /
-        ``"ram"``), *structure* is the :class:`~repro.paging.PageCache` or
-        :class:`~repro.tlb.TLB` carrying the ``_ghost`` slot, and
-        *page_of(key)* maps the structure's keys back to global base-page
-        numbers (so ``page_of(key) // asid_stride`` recovers the owning
-        ASID). The base class exposes nothing — algorithms with
+        ``"ram"``), *structure* is the :class:`~repro.paging.PageCache`
+        carrying the ``_ghost`` slot, and *page_of(key)* maps the
+        structure's keys back to global base-page numbers (so
+        ``page_of(key) // asid_stride`` recovers the owning ASID). The
+        base class exposes nothing — algorithms with
         instrumentable caches override this, and
         :meth:`~repro.obs.attribution.AttributionProbe.observe` raises on
         an empty result rather than silently counting nothing.

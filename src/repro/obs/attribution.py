@@ -4,9 +4,9 @@ The cost model charges every TLB/page miss uniformly, but tuning decisions
 (tenant-aware replacement, THP policy knobs, second-level translation
 caches) hinge on *why* each miss happened and *who caused it*. This module
 answers both with bounded ghost lists: every eviction or invalidation in a
-:class:`~repro.paging.cache.PageCache` or :class:`~repro.tlb.TLB` leaves a
-tag ``(reason, evictor page)`` behind for its victim, and the next miss on
-that key consumes the tag and classifies itself:
+:class:`~repro.paging.cache.PageCache` leaves a tag ``(reason, evictor
+page)`` behind for its victim, and the next miss on that key consumes the
+tag and classifies itself:
 
 ==================  ==========================================================
 ``cold``            never seen before (or the tag aged out of the ghost list)

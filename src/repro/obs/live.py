@@ -82,36 +82,17 @@ class TelemetryBus:
     One bus per (process, spool) pair; the file is opened lazily with
     ``O_APPEND | O_CREAT`` and every :meth:`emit` is a single atomic
     ``os.write``. The bus never reads the spool — readers live in
-    :func:`read_spool`.
-
-    With *max_bytes* set, an emit that would push the spool past the bound
-    first rotates it: one ``os.replace`` renames the live spool to
-    ``<spool>.1`` (clobbering any previous ``.1``) and the write lands in a
-    fresh file, so an unattended sweep's spool is bounded at roughly
-    ``2 × max_bytes`` on disk. Rotation is crash-safe (rename is atomic)
-    and multi-writer-safe: a bus that finds its descriptor pointing at a
-    rotated-away inode follows the rename and reopens the live path.
-    Readers (:func:`read_spool`) stitch ``.1`` + live back together and
-    tolerate a rotation happening between the two reads.
+    :func:`read_spool`. The spool is one file that grows for the whole run:
+    a heartbeat record is under 300 bytes, so a 200 M-access cell at the
+    default 65,536-access interval writes under 1 MB.
     """
 
-    __slots__ = ("path", "worker", "max_bytes", "_fd", "_seq")
+    __slots__ = ("path", "worker", "_fd", "_seq")
 
-    def __init__(
-        self,
-        path,
-        *,
-        worker: str | int | None = None,
-        max_bytes: int | None = None,
-    ) -> None:
+    def __init__(self, path, *, worker: str | int | None = None) -> None:
         self.path = Path(path)
         #: spool-wide writer id; defaults to this process's pid.
         self.worker = str(worker if worker is not None else os.getpid())
-        #: rotate the spool when an emit would push it past this size
-        #: (``None`` = grow without bound, the historical behaviour).
-        self.max_bytes = (
-            None if max_bytes is None else check_positive_int(max_bytes, "max_bytes")
-        )
         self._fd: int | None = None
         self._seq = 0
 
@@ -120,22 +101,6 @@ class TelemetryBus:
         return os.open(
             str(self.path), os.O_APPEND | os.O_CREAT | os.O_WRONLY, 0o644
         )
-
-    def _maybe_rotate(self, incoming: int) -> None:
-        """Rotate (or follow another writer's rotation) before *incoming* bytes."""
-        assert self._fd is not None
-        try:
-            live_ino = os.stat(self.path).st_ino
-        except FileNotFoundError:
-            live_ino = None  # spool vanished: reopen recreates it
-        if live_ino != os.fstat(self._fd).st_ino:
-            os.close(self._fd)
-            self._fd = self._open()
-        if os.fstat(self._fd).st_size + incoming <= self.max_bytes:
-            return
-        os.replace(self.path, str(self.path) + ".1")
-        os.close(self._fd)
-        self._fd = self._open()
 
     def emit(self, kind: str, **fields) -> dict:
         """Append one *kind* record (plus ``worker``/``seq``/``wall``)."""
@@ -149,10 +114,7 @@ class TelemetryBus:
             "wall": time.monotonic(),
             **fields,
         }
-        data = (json.dumps(record, sort_keys=True) + "\n").encode()
-        if self.max_bytes is not None:
-            self._maybe_rotate(len(data))
-        os.write(self._fd, data)
+        os.write(self._fd, (json.dumps(record, sort_keys=True) + "\n").encode())
         return record
 
     def close(self) -> None:
@@ -183,18 +145,10 @@ class HeartbeatConfig:
     spool: str
     #: accesses between heartbeat flushes (the probe's ``batch_interval``).
     interval: int = 65536
-    #: a worker silent for > ``stall_factor ×`` its observed flush period
-    #: is reported stalled (the "k" of the structured stall warning).
-    stall_factor: float = 4.0
-    #: stall grace floor in seconds (covers startup and slow first flushes).
-    grace_s: float = 5.0
-    #: per-spool rotation bound (``TelemetryBus(max_bytes=...)``); ``None``
-    #: keeps the spool unbounded.
-    max_bytes: int | None = None
 
     def bus(self, worker: str | int | None = None) -> TelemetryBus:
         """A fresh bus on this config's spool."""
-        return TelemetryBus(self.spool, worker=worker, max_bytes=self.max_bytes)
+        return TelemetryBus(self.spool, worker=worker)
 
 
 class HeartbeatProbe(Probe):
@@ -295,34 +249,20 @@ def read_spool(path) -> list[dict]:
     a filesystem without atomic ``O_APPEND``, or a truncated tail) is
     skipped, not fatal — the spool is advisory telemetry, never the source
     of truth for results.
-
-    A rotated spool (``TelemetryBus(max_bytes=...)``) is stitched back
-    together: the ``.1`` generation is read first, then the live file, and
-    a live line byte-identical to one in ``.1`` (a rotation racing the two
-    reads) is dropped. Only cross-generation duplicates are dropped —
-    ``seq`` restarts per bus, so it cannot serve as a record identity.
     """
-    path = Path(path)
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        return []
     records: list[dict] = []
-    rotated_lines: set[bytes] = set()
-    for generation, p in enumerate((Path(str(path) + ".1"), path)):
-        try:
-            raw = p.read_bytes()
-        except FileNotFoundError:
+    for line in raw.splitlines():
+        if not line.strip():
             continue
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            if generation and line in rotated_lines:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if not (isinstance(record, dict) and "kind" in record):
-                continue
-            if not generation:
-                rotated_lines.add(line)
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if isinstance(record, dict) and "kind" in record:
             records.append(record)
     return records
 
@@ -528,6 +468,8 @@ class StallWatcher:
     (never less than *grace_s*) gets one structured ``task_stall`` record
     emitted on *bus* and one structured warning log. A worker that speaks
     again is re-armed, so an intermittent stall is reported per episode.
+    A worker whose task the parent has since closed as failed (its
+    ``task_retry`` or failing ``task_end``) is idle, not stalled.
     """
 
     def __init__(
@@ -583,21 +525,28 @@ class StallWatcher:
         """One poll (factored out of the thread loop for direct testing)."""
         latest: dict[str, dict] = {}
         period: dict[str, float] = {}
+        idle: set[str] = set()
         for rec in read_spool(self.spool):
-            if rec.get("kind") not in (
-                "heartbeat", "phase", "task_start", "task_end",
-            ):
-                continue
+            kind = rec.get("kind")
             worker = str(rec.get("worker", "?"))
+            if worker == "parent" and kind in ("task_retry", "task_end"):
+                # the parent closes a failed attempt: a worker whose last
+                # word was that task is done with it, not stalled
+                task = str(rec.get("task"))
+                idle.update(w for w, r in latest.items() if str(r.get("task")) == task)
+                continue
+            if kind not in ("heartbeat", "phase", "task_start", "task_end"):
+                continue
+            idle.discard(worker)
             prev = latest.get(worker)
-            if prev is not None and rec.get("kind") == "heartbeat":
+            if prev is not None and kind == "heartbeat":
                 gap = rec.get("wall", 0.0) - prev.get("wall", 0.0)
                 if gap > 0:
                     period[worker] = gap
             latest[worker] = rec
         stalls: list[dict] = []
         for worker, rec in latest.items():
-            if rec.get("kind") != "heartbeat":
+            if rec.get("kind") != "heartbeat" or worker in idle:
                 continue  # finished or not yet measuring
             allowed = max(
                 self.grace_s, self.stall_factor * period.get(worker, 0.0)

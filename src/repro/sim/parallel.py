@@ -14,15 +14,18 @@ embarrassingly parallel. This module turns a declarative list of
   from worker-local state.
 * **Chunked dispatch** — tasks are submitted in chunks so a shared trace
   array is pickled once per chunk, not once per cell.
-* **Fault tolerance** — a task that raises, times out (in-worker
-  ``SIGALRM`` timer), or hard-crashes its worker (``BrokenProcessPool``)
-  marks only that cell failed; it is retried once (``retries=1``) in a
-  fresh pool and never poisons the other cells.
-* **Serial parity** — ``jobs=1`` runs everything in-process with today's
-  exact semantics. A *shared* ``probe=`` observes every run in sequence and
-  is supported on this path only (live observer state does not cross
-  process boundaries); asking for an enabled probe with ``jobs != 1`` falls
-  back to serial with a warning.
+* **Fault tolerance** — one attempt loop for every ``jobs``: each round
+  runs the pending tasks and yields one ``(key, record, error)`` row per
+  task, and a task that raises or hard-crashes its worker
+  (``BrokenProcessPool``) marks only that cell failed; it is retried once
+  (``retries=1``) in a later round — at ``jobs > 1`` in a single-worker
+  pool of its own — and never poisons the other cells.
+* **Serial parity** — ``jobs=1`` runs the same rounds in-process, so it
+  retries a failed cell after the round, as the pool does. A *shared*
+  ``probe=`` observes every run in sequence and is supported on this path
+  only (live observer state does not cross process boundaries); asking
+  for an enabled probe with ``jobs != 1`` falls back to serial with a
+  warning.
 * **Parallel observability** — ``snapshot=`` takes a picklable zero-arg
   probe factory (e.g. ``partial(SamplingProbe, rate=1/64)``); each task
   builds its own probe *inside the worker* and ships back a mergeable
@@ -43,11 +46,10 @@ from __future__ import annotations
 import logging
 import math
 import os
-import signal
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
@@ -70,6 +72,10 @@ __all__ = [
 ]
 
 _log = logging.getLogger(__name__)
+
+#: one task's outcome in one round: ``(key, record, None)`` or
+#: ``(key, None, error)``.
+_Row = tuple[int, RunRecord | None, str | None]
 
 
 @dataclass(slots=True)
@@ -147,14 +153,6 @@ def resolve_jobs(jobs: int | None) -> int:
     return jobs
 
 
-class _TaskTimeout(Exception):
-    """Raised inside a worker when a task exceeds its time budget."""
-
-
-def _on_alarm(signum, frame):  # pragma: no cover - fires only on slow tasks
-    raise _TaskTimeout()
-
-
 def _null_probe_factory() -> None:
     """Module-level (hence picklable) stand-in for ``snapshot=True``:
     snapshots carry exact counters (and metrics rows) but no probe."""
@@ -218,24 +216,19 @@ def _execute(
                 deep_every=task.deep_every,
                 engine=task.engine,
             )
-    except Exception as exc:
+        # a failed attempt ends in the parent, which knows whether the
+        # task runs again (``task_retry``) or ends failed (``task_end``)
         if bus is not None:
             bus.emit(
                 "task_end",
                 task=task.key,
-                error=f"{type(exc).__name__}: {exc}",
+                accesses=hb_probe.done,
+                counters=dict(hb_probe.counters),
+                acc_s=accesses_per_second(hb_probe.done, timer.elapsed),
             )
+    finally:
+        if bus is not None:
             bus.close()
-        raise
-    if bus is not None:
-        bus.emit(
-            "task_end",
-            task=task.key,
-            accesses=hb_probe.done,
-            counters=dict(hb_probe.counters),
-            acc_s=accesses_per_second(hb_probe.done, timer.elapsed),
-        )
-        bus.close()
     snapshot = None
     if snapshot_factory is not None:
         from ..obs.snapshot import ObsSnapshot
@@ -257,46 +250,19 @@ def _execute(
     )
 
 
-def _run_chunk(
-    tasks: list[SimTask],
-    shared_trace,
-    task_timeout: float | None,
-    metrics_every: int | None = None,
-    epsilon: float = 0.01,
-    snapshot_factory: Callable[[], Probe | None] | None = None,
-    heartbeat: HeartbeatConfig | None = None,
-) -> list[tuple[int, RunRecord | None, str | None]]:
-    """Worker entry point: run a chunk of tasks, isolating per-task errors.
+def _run_chunk(tasks: list[SimTask], shared_trace, **kwargs) -> list[_Row]:
+    """Run a chunk of tasks (worker side or in-process), one
+    ``(key, record, error)`` row per task; *kwargs* go to :func:`_execute`.
 
-    A task that raises or times out yields ``(key, None, error)``; the rest
-    of the chunk still runs. Timeouts are enforced *inside* the worker with
-    an interval timer (POSIX), so a slow cell cannot wedge the pool.
+    A task that raises yields ``(key, None, error)``; the rest of the chunk
+    still runs.
     """
-    has_alarm = task_timeout is not None and hasattr(signal, "setitimer")
-    out: list[tuple[int, RunRecord | None, str | None]] = []
+    out: list[_Row] = []
     for task in tasks:
-        old_handler = None
-        if has_alarm:
-            old_handler = signal.signal(signal.SIGALRM, _on_alarm)
-            signal.setitimer(signal.ITIMER_REAL, task_timeout)
         try:
-            record = _execute(
-                task,
-                shared_trace,
-                metrics_every=metrics_every,
-                epsilon=epsilon,
-                snapshot_factory=snapshot_factory,
-                heartbeat=heartbeat,
-            )
-            out.append((task.key, record, None))
-        except _TaskTimeout:
-            out.append((task.key, None, f"timed out after {task_timeout:g}s"))
+            out.append((task.key, _execute(task, shared_trace, **kwargs), None))
         except Exception as exc:
             out.append((task.key, None, f"{type(exc).__name__}: {exc}"))
-        finally:
-            if has_alarm:
-                signal.setitimer(signal.ITIMER_REAL, 0.0)
-                signal.signal(signal.SIGALRM, old_handler)
     return out
 
 
@@ -310,14 +276,13 @@ def run_tasks(
     epsilon: float = 0.01,
     snapshot: Callable[[], Probe | None] | bool | None = None,
     heartbeat: HeartbeatConfig | None = None,
-    task_timeout: float | None = None,
     retries: int = 1,
 ) -> list[TaskResult]:
     """Run every task; return one :class:`TaskResult` per task, in task order.
 
     *trace* is the shared access trace for tasks whose own ``trace`` is
-    ``None`` (pickled once per dispatch chunk). ``jobs=1`` runs serially
-    in-process; ``jobs=None`` or ``0`` uses every CPU.
+    ``None`` (pickled once per dispatch chunk). ``jobs=1`` runs in-process;
+    ``jobs=None`` or ``0`` uses every CPU.
 
     *probe* is a single **shared** observer of every run in sequence; live
     observer state does not cross process boundaries, so requesting an
@@ -340,9 +305,11 @@ def run_tasks(
     *heartbeat* is a picklable :class:`~repro.obs.live.HeartbeatConfig`:
     each task (worker side or serial) opens its own
     :class:`~repro.obs.live.TelemetryBus` on the shared spool and streams
-    ``task_start`` / periodic ``heartbeat`` / ``task_end`` records while
-    it runs; retries emit structured ``task_retry`` records from the
-    parent, and (on the pooled path) a parent-side
+    ``task_start`` / periodic ``heartbeat`` records while it runs and a
+    ``task_end`` when it succeeds; the parent emits a structured
+    ``task_retry`` record for every failed attempt that runs again and a
+    ``task_end`` carrying the ``error`` for every task that ends failed,
+    and (at ``jobs > 1``) a parent-side
     :class:`~repro.obs.live.StallWatcher` flags silent workers with
     ``task_stall`` records. Heartbeats compose with *snapshot* probes and
     *metrics_every* via :class:`~repro.obs.events.MultiProbe` and keep the
@@ -352,10 +319,16 @@ def run_tasks(
     per access, and the heartbeat still flushes every ``interval``
     accesses and counts every access.
 
-    Fault tolerance: a failing cell (exception, per-task *task_timeout*, or
-    worker crash) is retried up to *retries* times — crash retries get a
-    fresh pool and chunks of one — and ends as ``TaskResult.error`` if it
-    keeps failing; successful cells are never affected.
+    Fault tolerance: the tasks run in rounds — at ``jobs=1`` in-process,
+    at ``jobs > 1`` in chunks on a process pool, and on later rounds in a
+    single-worker pool per task, so a repeat crasher cannot take innocent
+    neighbours down with it. A failing cell (exception or worker crash)
+    runs again in the next round, up to *retries* times, and ends as
+    ``TaskResult.error`` if it keeps failing; successful cells are never
+    affected. ``TaskResult.attempts`` counts the rounds the task ran in.
+    A failed ``jobs=1`` cell thus runs again after the other cells of its
+    round, not straight away: the records are the same, but its spool
+    records (and a shared *probe*'s events) follow theirs.
     """
     tasks = list(tasks)
     keys = [t.key for t in tasks]
@@ -386,28 +359,46 @@ def run_tasks(
         jobs = 1
     if not tasks:
         return []
-    if jobs == 1:
-        return _run_serial(
-            tasks,
-            trace,
-            probe=probe,
-            metrics_every=metrics_every,
-            epsilon=epsilon,
-            snapshot_factory=snapshot_factory,
-            heartbeat=heartbeat,
-            retries=retries,
-        )
-    return _run_pooled(
-        tasks,
-        trace,
-        jobs=jobs,
+    # picklable: a pooled round ships it, shared trace included, per chunk
+    work = partial(
+        _run_chunk,
+        shared_trace=trace,
         metrics_every=metrics_every,
         epsilon=epsilon,
         snapshot_factory=snapshot_factory,
         heartbeat=heartbeat,
-        task_timeout=task_timeout,
-        retries=retries,
     )
+    results: dict[int, TaskResult] = {}
+    pending = tasks
+    attempt = 0
+    watcher = None
+    if heartbeat is not None and jobs != 1:
+        watcher = StallWatcher(heartbeat.spool, heartbeat.bus(worker="parent")).start()
+    try:
+        while pending:
+            attempt += 1
+            if jobs == 1:
+                rows = work(pending, probe=probe)
+            elif attempt == 1:
+                rows = _pooled_round(pending, jobs, work)
+            else:
+                rows = _isolated_round(pending, work)
+            again = set()
+            for key, record, error in rows:
+                if error is not None and attempt <= retries:
+                    _emit_retry(heartbeat, key, attempt, error)
+                    again.add(key)
+                    continue
+                if error is not None and heartbeat is not None:
+                    with heartbeat.bus(worker="parent") as bus:
+                        bus.emit("task_end", task=key, error=error)
+                results[key] = TaskResult(key, record, error, attempt)
+            pending = [t for t in pending if t.key in again]
+    finally:
+        if watcher is not None:
+            watcher.stop()
+            watcher.bus.close()
+    return [results[key] for key in keys]
 
 
 def _call(fn):
@@ -479,231 +470,40 @@ def _emit_retry(
     )
 
 
-def _run_serial(
-    tasks: list[SimTask],
-    trace,
-    *,
-    probe,
-    metrics_every,
-    epsilon,
-    snapshot_factory,
-    heartbeat: HeartbeatConfig | None = None,
-    retries: int,
-) -> list[TaskResult]:
-    """In-process path: today's sweep semantics, bit-for-bit.
-
-    The shared probe (if any) observes every run in sequence, and each task
-    gets its own metrics collector and snapshot probe, exactly as the
-    workers would build them.
-    """
-    results = []
-    for task in tasks:
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                record = _execute(
-                    task, trace, probe=probe, metrics_every=metrics_every,
-                    epsilon=epsilon, snapshot_factory=snapshot_factory,
-                    heartbeat=heartbeat,
-                )
-            except Exception as exc:
-                if attempts <= retries:
-                    _emit_retry(
-                        heartbeat, task.key, attempts,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                    continue
-                results.append(
-                    TaskResult(task.key, None,
-                               error=f"{type(exc).__name__}: {exc}",
-                               attempts=attempts)
-                )
-            else:
-                results.append(TaskResult(task.key, record, attempts=attempts))
-            break
-    return results
-
-
 def _default_chunksize(n_tasks: int, jobs: int) -> int:
     """~4 chunks per worker: big enough to amortize trace pickling, small
     enough that a crash retries few innocent neighbours."""
     return max(1, math.ceil(n_tasks / (jobs * 4)))
 
 
-def _run_pooled(
-    tasks: list[SimTask],
-    trace,
-    *,
-    jobs: int,
-    metrics_every: int | None,
-    epsilon: float,
-    snapshot_factory,
-    heartbeat: HeartbeatConfig | None = None,
-    task_timeout: float | None,
-    retries: int,
-) -> list[TaskResult]:
-    by_key = {t.key: t for t in tasks}
-    results: dict[int, TaskResult] = {}
-    attempts = {t.key: 0 for t in tasks}
-    pending = list(tasks)
-    round_idx = 0
+def _pooled_round(pending: list[SimTask], jobs: int, work) -> list[_Row]:
+    """One round on a fresh pool: chunks of :func:`_default_chunksize` on
+    ``min(jobs, chunks)`` workers, one row per task, in task order.
 
-    def note_failure(task: SimTask, error: str, requeue: list[SimTask]) -> None:
-        if attempts[task.key] <= retries:
-            _emit_retry(heartbeat, task.key, attempts[task.key], error)
-            requeue.append(task)
-        else:
-            results[task.key] = TaskResult(
-                task.key, None, error=error, attempts=attempts[task.key]
-            )
-
-    watcher = None
-    if heartbeat is not None:
-        watcher = StallWatcher(
-            heartbeat.spool,
-            heartbeat.bus(worker="parent"),
-            stall_factor=heartbeat.stall_factor,
-            grace_s=heartbeat.grace_s,
-        ).start()
+    When a worker crash breaks the pool, chunks that finished keep their
+    rows and every other task gets a crash row; a chunk whose result
+    cannot be read back (e.g. it fails to unpickle) gives each of its
+    tasks an error row.
+    """
+    csize = _default_chunksize(len(pending), jobs)
+    chunks = [pending[i:i + csize] for i in range(0, len(pending), csize)]
+    pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
     try:
-        return _pooled_rounds(
-            tasks, trace, by_key, results, attempts, pending, round_idx,
-            note_failure,
-            jobs=jobs, metrics_every=metrics_every, epsilon=epsilon,
-            snapshot_factory=snapshot_factory, heartbeat=heartbeat,
-            task_timeout=task_timeout,
-        )
+        futures = [pool.submit(work, chunk) for chunk in chunks]
+        rows: list[_Row] = []
+        for fut, chunk in zip(futures, chunks):
+            try:
+                rows.extend(fut.result())
+            except BrokenProcessPool:
+                rows.extend((t.key, None, "worker crashed (pool broken)") for t in chunk)
+            except Exception as exc:  # e.g. a result that fails to unpickle
+                rows.extend((t.key, None, f"{type(exc).__name__}: {exc}") for t in chunk)
+        return rows
     finally:
-        if watcher is not None:
-            watcher.stop()
-            watcher.bus.close()
+        pool.shutdown(wait=False, cancel_futures=True)
 
 
-def _pooled_rounds(
-    tasks, trace, by_key, results, attempts, pending, round_idx, note_failure,
-    *,
-    jobs, metrics_every, epsilon, snapshot_factory, heartbeat, task_timeout,
-) -> list[TaskResult]:
-    while pending:
-        for t in pending:
-            attempts[t.key] += 1
-        requeue: list[SimTask] = []
-        if round_idx:
-            # retry rounds: one fresh single-worker pool per cell, so a
-            # repeat-crasher cannot take innocent neighbours down with it
-            _isolated_round(
-                pending, trace, task_timeout, results, attempts,
-                note_failure, requeue,
-                metrics_every=metrics_every, epsilon=epsilon,
-                snapshot_factory=snapshot_factory, heartbeat=heartbeat,
-            )
-            pending = requeue
-            round_idx += 1
-            continue
-        csize = _default_chunksize(len(pending), jobs)
-        chunks = [pending[i:i + csize] for i in range(0, len(pending), csize)]
-        # parent-side backstop: the in-worker alarm should fire first, so
-        # only a wedged worker (e.g. stuck in C code) trips this
-        budget = None if task_timeout is None else task_timeout * len(pending) * 2 + 30
-        pool = ProcessPoolExecutor(max_workers=min(jobs, len(chunks)))
-        futures = {
-            pool.submit(
-                _run_chunk, chunk, trace, task_timeout,
-                metrics_every, epsilon, snapshot_factory, heartbeat,
-            ): chunk
-            for chunk in chunks
-        }
-        consumed: set = set()
-        try:
-            for fut in as_completed(futures, timeout=budget):
-                try:
-                    rows = fut.result()
-                except BrokenProcessPool:
-                    # not marked consumed: the recovery sweep below requeues
-                    # this chunk's tasks along with the truly unfinished ones
-                    raise
-                except Exception as exc:  # e.g. result unpickling failure
-                    consumed.add(fut)
-                    for t in futures[fut]:
-                        note_failure(t, f"{type(exc).__name__}: {exc}", requeue)
-                    continue
-                consumed.add(fut)
-                for key, record, error in rows:
-                    if error is None:
-                        results[key] = TaskResult(
-                            key, record, attempts=attempts[key]
-                        )
-                    else:
-                        note_failure(by_key[key], error, requeue)
-        except (BrokenProcessPool, FuturesTimeoutError) as exc:
-            # the pool died (worker crash) or the round blew its budget:
-            # harvest chunks that did finish, requeue the rest
-            reason = (
-                "worker crashed (pool broken)"
-                if isinstance(exc, BrokenProcessPool)
-                else f"round exceeded its {budget:g}s budget"
-            )
-            for fut, chunk in futures.items():
-                if fut in consumed:
-                    continue
-                if fut.done() and fut.exception() is None:
-                    for key, record, error in fut.result():
-                        if error is None:
-                            results[key] = TaskResult(
-                                key, record, attempts=attempts[key]
-                            )
-                        else:
-                            note_failure(by_key[key], error, requeue)
-                else:
-                    for t in chunk:
-                        if t.key not in results:
-                            note_failure(t, reason, requeue)
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        pending = requeue
-        round_idx += 1
-
-    return [results[t.key] for t in tasks]
-
-
-def _isolated_round(
-    pending: list[SimTask],
-    trace,
-    task_timeout: float | None,
-    results: dict,
-    attempts: dict,
-    note_failure,
-    requeue: list[SimTask],
-    *,
-    metrics_every: int | None = None,
-    epsilon: float = 0.01,
-    snapshot_factory=None,
-    heartbeat: HeartbeatConfig | None = None,
-) -> None:
-    """Run each task in its own single-worker pool (crash isolation)."""
-    budget = None if task_timeout is None else task_timeout * 2 + 30
-    for task in pending:
-        pool = ProcessPoolExecutor(max_workers=1)
-        fut = pool.submit(
-            _run_chunk, [task], trace, task_timeout,
-            metrics_every, epsilon, snapshot_factory, heartbeat,
-        )
-        try:
-            rows = fut.result(timeout=budget)
-        except BrokenProcessPool:
-            note_failure(task, "worker crashed (pool broken)", requeue)
-            continue
-        except FuturesTimeoutError:
-            note_failure(task, f"exceeded its {budget:g}s budget", requeue)
-            continue
-        except Exception as exc:
-            note_failure(task, f"{type(exc).__name__}: {exc}", requeue)
-            continue
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        for key, record, error in rows:
-            if error is None:
-                results[key] = TaskResult(key, record, attempts=attempts[key])
-            else:
-                note_failure(task, error, requeue)
+def _isolated_round(pending: list[SimTask], work) -> list[_Row]:
+    """A retry round at ``jobs > 1``: each task in a single-worker pool of
+    its own (crash isolation)."""
+    return [row for task in pending for row in _pooled_round([task], 1, work)]

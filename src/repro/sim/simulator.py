@@ -144,7 +144,6 @@ def sweep_huge_page_sizes(
     snapshot=None,
     heartbeat=None,
     jobs: int | None = 1,
-    task_timeout: float | None = None,
     validate: bool = False,
     deep_every: int | None = None,
 ) -> list[RunRecord]:
@@ -169,12 +168,11 @@ def sweep_huge_page_sizes(
     requesting an enabled one forces ``jobs=1``; *metrics_every* and
     *snapshot* (a picklable per-task probe factory — each record then
     carries a mergeable :class:`~repro.obs.snapshot.ObsSnapshot`) compose
-    with any ``jobs``. *task_timeout* (seconds, parallel only) bounds each
-    cell; a timed-out or crashed cell is retried once and then dropped with
-    an error log, like an infeasible size. *heartbeat* (a picklable
-    :class:`~repro.obs.live.HeartbeatConfig`) streams live progress
-    records from wherever each cell runs to the configured spool — see
-    ``repro top``.
+    with any ``jobs``. A cell that raises or crashes its worker is retried
+    once and then dropped with an error log, like an infeasible size.
+    *heartbeat* (a picklable :class:`~repro.obs.live.HeartbeatConfig`)
+    streams live progress records from wherever each cell runs to the
+    configured spool — see ``repro top``.
 
     ``validate=True`` runs every cell under the :mod:`repro.check`
     invariant oracle (identical costs; an invariant violation fails the
@@ -223,5 +221,4 @@ def sweep_huge_page_sizes(
         epsilon=epsilon,
         snapshot=snapshot,
         heartbeat=heartbeat,
-        task_timeout=task_timeout,
     )

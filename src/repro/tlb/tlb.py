@@ -41,7 +41,6 @@ class TLB:
         "_values",
         "_get",
         "_record",
-        "_ghost",
         "hits",
         "misses",
         "fills",
@@ -66,8 +65,6 @@ class TLB:
         # replaced, so the hot lookup pays two calls and no attribute hops
         self._get = self._values.get
         self._record = self.policy.record_access
-        # optional miss-attribution ghost (obs/attribution installs one)
-        self._ghost = None
         self.hits = 0
         self.misses = 0
         self.fills = 0
@@ -86,8 +83,6 @@ class TLB:
         value = self._get(hpn)
         if value is None:
             self.misses += 1
-            if self._ghost is not None:
-                self._ghost.miss(hpn)
             return None
         self.hits += 1
         self._record(hpn, t)
@@ -106,8 +101,6 @@ class TLB:
         if len(self._values) >= self.entries:
             victim = self.policy.evict(hpn)
             del self._values[victim]
-            if self._ghost is not None:
-                self._ghost.evicted(victim, hpn)
         # a fill normally follows a missing lookup for the same huge page
         # and is attributed to that access's index — but an access that
         # installs several entries (prefetch, promotion) must not stamp

@@ -10,8 +10,6 @@ pickle across the process boundary.
 """
 
 import os
-import signal
-import time
 from functools import partial
 
 import numpy as np
@@ -37,9 +35,8 @@ from repro.sim import (
     spawn_seeds,
     sweep_huge_page_sizes,
 )
+from repro.sim import parallel
 from repro.sim.parallel import _default_chunksize
-
-POSIX_TIMERS = hasattr(signal, "setitimer")
 
 
 def _payload(records):
@@ -96,12 +93,11 @@ class RaiseOnce:
         return BasePageMM(self.tlb, self.ram)
 
 
-class SleepForever:
-    """MM factory that out-sleeps any reasonable task timeout."""
+class RaiseAlways:
+    """MM factory that raises on every call."""
 
     def __call__(self):
-        time.sleep(60)
-        return BasePageMM(8, 64)  # pragma: no cover
+        raise RuntimeError("always broken")
 
 
 def _trace(n=4000, pages=1 << 12, seed=0):
@@ -293,19 +289,26 @@ class TestFaultTolerance:
         assert "always broken" in result.error
         assert result.attempts == 2
 
-    @pytest.mark.skipif(not POSIX_TIMERS, reason="needs signal.setitimer")
-    def test_task_timeout_marks_cell_failed(self):
+    def test_retry_round_isolates_only_the_failed_cells(self, tmp_path, monkeypatch):
+        # the first round runs all three cells in chunks; only the two
+        # that failed go on to the single-worker retry round, together
+        seen = []
+        isolated_round = parallel._isolated_round
+
+        def spy(pending, *args, **kwargs):
+            seen.append({t.key for t in pending})
+            return isolated_round(pending, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_isolated_round", spy)
         tasks = [
-            SimTask(mm_factory=SleepForever(), key=0),
-            SimTask(mm_factory=make_base_mm(8, 64), key=1, warmup=10),
+            SimTask(mm_factory=RaiseOnce(tmp_path / "a"), key=0, warmup=10),
+            SimTask(mm_factory=RaiseOnce(tmp_path / "b"), key=1, warmup=10),
+            SimTask(mm_factory=make_base_mm(8, 64), key=2, warmup=10),
         ]
-        results = run_tasks(
-            tasks, trace=_trace(500), jobs=2,
-            task_timeout=0.3, retries=0,
-        )
-        assert not results[0].ok
-        assert "timed out" in results[0].error
-        assert results[1].ok
+        results = run_tasks(tasks, trace=_trace(500), jobs=2)
+        assert seen == [{0, 1}]
+        assert all(r.ok for r in results)
+        assert [r.attempts for r in results] == [2, 2, 1]
 
 
 class TestPerTaskTraces:
@@ -438,3 +441,38 @@ class TestHeartbeatTelemetry:
         assert retries[0]["worker"] == "parent"
         # the aggregate surfaces it too
         assert aggregate(read_spool(hb.spool))["retries"] == retries
+
+    def test_serial_retry_runs_after_the_round(self, tmp_path):
+        hb = self._heartbeat(tmp_path, "serial-retry")
+        tasks = [
+            SimTask(mm_factory=RaiseOnce(tmp_path / "marker"), key=0, warmup=10),
+            SimTask(mm_factory=make_base_mm(8, 64), key=1, warmup=10),
+        ]
+        results = run_tasks(tasks, trace=_trace(500), jobs=1, heartbeat=hb)
+        assert [r.attempts for r in results] == [2, 1]
+        order = [
+            (r["kind"], r["task"])
+            for r in read_spool(hb.spool)
+            if r["kind"] in ("task_end", "task_retry")
+        ]
+        assert order == [("task_end", 1), ("task_retry", 0), ("task_end", 0)]
+
+    @pytest.mark.parametrize(
+        "factory, jobs",
+        [(RaiseAlways(), 1), (RaiseAlways(), 2), (CrashAlways(), 2)],
+        ids=["raise-serial", "raise-pooled", "crash-pooled"],
+    )
+    def test_failed_cell_ends_failed_on_the_spool(self, tmp_path, factory, jobs):
+        hb = self._heartbeat(tmp_path, "failed")
+        tasks = [
+            SimTask(mm_factory=factory, key=0, warmup=10),
+            SimTask(mm_factory=make_base_mm(8, 64), key=1, warmup=10),
+        ]
+        results = run_tasks(tasks, trace=_trace(500), jobs=jobs, heartbeat=hb)
+        assert not results[0].ok and results[0].attempts == 2
+        records = read_spool(hb.spool)
+        (end,) = [r for r in records if r["kind"] == "task_end" and r["task"] == 0]
+        assert end["error"] == results[0].error
+        assert end["worker"] == "parent"
+        states = {t["task"]: t["state"] for t in aggregate(records)["tasks"]}
+        assert states == {"0": "failed", "1": "done"}
